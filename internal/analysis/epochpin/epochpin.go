@@ -30,6 +30,7 @@
 package epochpin
 
 import (
+	"go/types"
 	"sort"
 	"strings"
 
@@ -107,7 +108,7 @@ func run(pass *analysis.Pass) error {
 			}
 			// Methods only: a receiver distinguishes the version-list API
 			// from any free function that happens to share the name.
-			if sig := callee.Fn.Signature(); sig == nil || sig.Recv() == nil {
+			if sig, ok := callee.Fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
 				continue
 			}
 			pkg := callee.Fn.Pkg()

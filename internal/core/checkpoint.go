@@ -21,8 +21,8 @@ import (
 
 var (
 	// ErrNotDurable reports a checkpoint or compaction request against a
-	// database without a segmented durable backend (in-memory, or a legacy
-	// single-file WAL injected directly into Config.Store.Pages.Backend).
+	// database not opened with OpenDurable (in-memory, or a backend
+	// injected directly into Config.Store.Pages.Backend).
 	ErrNotDurable = errors.New("core: checkpointing requires a durable database (OpenDurable)")
 	// ErrCheckpointBusy reports a checkpoint request while another one is
 	// still running.

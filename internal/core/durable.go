@@ -160,10 +160,7 @@ func (db *DB) resetIndexes(cfg Config) {
 // WALStats returns the write-ahead-log counters, or false when the
 // database does not run on a WAL backend.
 func (db *DB) WALStats() (pagestore.WALStats, bool) {
-	switch w := db.store.Pages().Backend().(type) {
-	case *pagestore.SegmentedWAL:
-		return w.Stats(), true
-	case *pagestore.WAL:
+	if w, ok := db.store.Pages().Backend().(*pagestore.SegmentedWAL); ok {
 		return w.Stats(), true
 	}
 	return pagestore.WALStats{}, false

@@ -211,3 +211,56 @@ func TestOpenDurableSurvivesTornTail(t *testing.T) {
 		t.Fatalf("fsck after torn-tail recovery:\n%s", rep)
 	}
 }
+
+// TestOpenDurableAdoptsLegacyPagesWAL: a data directory holding only a
+// pre-segmentation pages.wal — testdata/legacy-pages.wal is the Figure 1
+// history as the deleted single-file WAL wrote it, a full metadata snapshot
+// per commit and no delta records — opens, serves its history, and takes new
+// commits (delta records on top of the last legacy snapshot).
+func TestOpenDurableAdoptsLegacyPagesWAL(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy-pages.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "pages.wal"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Clock: func() model.Time { return feb10 }}
+	db, err := OpenDurable(cfg, dir)
+	if err != nil {
+		t.Fatalf("OpenDurable over a legacy pages.wal: %v", err)
+	}
+	id, ok := db.LookupDoc(guideURL)
+	if !ok {
+		t.Fatalf("document lost in adoption")
+	}
+	if vs, err := db.Versions(id); err != nil || len(vs) != 3 {
+		t.Fatalf("Versions = %v, %v; want 3 versions", vs, err)
+	}
+	res, err := db.Query(`SELECT R FROM doc("http://guide.com/restaurants.xml")[26/01/2001]/restaurant R`)
+	if err != nil || len(res.Rows) != 2 {
+		t.Fatalf("Q1 over the adopted log: %v, %v; want 2 rows", res, err)
+	}
+	if rep := db.Fsck(); !rep.Clean() {
+		t.Fatalf("fsck after adoption:\n%s", rep)
+	}
+	if _, _, err := db.Update(id, guide([2]string{"Napoli", "20"}), feb10); err != nil {
+		t.Fatalf("Update after adoption: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = OpenDurable(cfg, dir)
+	if err != nil {
+		t.Fatalf("OpenDurable (reopen): %v", err)
+	}
+	defer db.Close()
+	if vs, err := db.Versions(id); err != nil || len(vs) != 4 {
+		t.Fatalf("Versions after reopen = %v, %v; want 4 versions", vs, err)
+	}
+	if rep := db.Fsck(); !rep.Clean() {
+		t.Fatalf("fsck after reopen:\n%s", rep)
+	}
+}

@@ -40,7 +40,7 @@ func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 // extents and an opaque metadata blob, and to make both durable on Commit.
 //
 // Implementations: the in-memory backend (volatile, the original simulated
-// disk), the WAL file backend (durable, see wal.go) and the fault injector
+// disk), the segmented WAL (durable, see segwal.go) and the fault injector
 // (a decorator over either, see fault.go).
 type Backend interface {
 	// Put stores the extent at the given start page, replacing any
@@ -52,10 +52,19 @@ type Backend interface {
 	// Delete removes the extent; deleting an absent extent is a no-op.
 	Delete(start int64) error
 	// PutMeta replaces the opaque metadata blob (the version store
-	// serializes its delta index into it).
+	// serializes its delta index into it) and drops the deltas logged on
+	// top of the previous one.
 	PutMeta(meta []byte) error
 	// Meta returns the current metadata blob, nil if none was stored.
 	Meta() []byte
+	// PutMetaDelta appends an incremental metadata record on top of the
+	// last PutMeta blob instead of rewriting it, so that per-commit
+	// metadata cost is proportional to the mutated document, not the whole
+	// catalog.
+	PutMetaDelta(delta []byte) error
+	// MetaDeltas returns, in append order, the deltas logged since the last
+	// PutMeta; after recovery, the committed ones.
+	MetaDeltas() [][]byte
 	// Commit is the durability barrier: everything written before it must
 	// survive a crash. Volatile backends treat it as a no-op.
 	Commit() error
@@ -73,18 +82,13 @@ type Backend interface {
 	Close() error
 }
 
-// DeltaMetaBackend is an optional backend capability: incremental metadata
-// persistence. PutMetaDelta appends a delta on top of the last full PutMeta
-// snapshot instead of rewriting the whole blob; MetaDeltas returns, in
-// append order, the committed deltas recovered since that snapshot. The
-// version store probes for it so that per-commit metadata cost is
-// proportional to the mutated document, not the whole catalog. Backends
-// without it (memory, single-file WAL, fault injector) keep the
-// full-snapshot path.
-type DeltaMetaBackend interface {
-	PutMetaDelta(delta []byte) error
-	MetaDeltas() [][]byte
-}
+// Every backend carries the whole contract, delta metadata included; there
+// is no capability probing on the write path.
+var (
+	_ Backend = (*memory)(nil)
+	_ Backend = (*SegmentedWAL)(nil)
+	_ Backend = (*Injector)(nil)
+)
 
 // ProvenanceBackend is an optional backend capability: reporting where an
 // extent's bytes live at rest (segment file and offset, or the checkpoint
@@ -102,6 +106,7 @@ type memory struct {
 	mu      sync.Mutex
 	extents map[int64]Extent
 	meta    []byte
+	deltas  [][]byte
 	next    int64
 }
 
@@ -139,6 +144,7 @@ func (m *memory) PutMeta(meta []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.meta = append([]byte(nil), meta...)
+	m.deltas = nil
 	return nil
 }
 
@@ -146,6 +152,19 @@ func (m *memory) Meta() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.meta
+}
+
+func (m *memory) PutMetaDelta(delta []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.deltas = append(m.deltas, append([]byte(nil), delta...))
+	return nil
+}
+
+func (m *memory) MetaDeltas() [][]byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.deltas
 }
 
 func (m *memory) Commit() error { return nil }

@@ -326,6 +326,8 @@ func (in *Injector) Commit() error {
 func (in *Injector) Delete(start int64) error          { return in.inner.Delete(start) }
 func (in *Injector) PutMeta(meta []byte) error         { return in.inner.PutMeta(meta) }
 func (in *Injector) Meta() []byte                      { return in.inner.Meta() }
+func (in *Injector) PutMetaDelta(delta []byte) error   { return in.inner.PutMetaDelta(delta) }
+func (in *Injector) MetaDeltas() [][]byte              { return in.inner.MetaDeltas() }
 func (in *Injector) Range(fn func(int64, Extent) bool) { in.inner.Range(fn) }
 func (in *Injector) NextPage() int64                   { return in.inner.NextPage() }
 func (in *Injector) Durable() bool                     { return in.inner.Durable() }

@@ -71,8 +71,8 @@ type Config struct {
 	// Zero means only an exact forward continuation is seekless.
 	NearDistance int64
 	// Backend supplies the persistence tier. Nil selects the volatile
-	// in-memory backend. Pass a WAL backend (OpenWAL) for durability, or a
-	// fault injector (NewInjector) for failure testing.
+	// in-memory backend. Pass a segmented WAL (OpenSegmentedWAL) for
+	// durability, or a fault injector (NewInjector) for failure testing.
 	Backend Backend
 	// SeekLatency and PageLatency turn the cost model of IOStats.CostMs
 	// into physical time: a read that misses the buffer pool sleeps
@@ -444,35 +444,22 @@ func (s *Store) Meta() []byte {
 	return s.backend.Meta()
 }
 
-// SetMetaDelta hands an incremental metadata record to the backend when it
-// supports delta persistence (DeltaMetaBackend). It reports false — and
-// does nothing — when the backend only takes full snapshots, so callers
-// fall back to SetMeta.
-func (s *Store) SetMetaDelta(delta []byte) (bool, error) {
+// SetMetaDelta hands an incremental metadata record to the backend, on top
+// of the last SetMeta blob; durable backends persist it at the next Commit.
+func (s *Store) SetMetaDelta(delta []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dm, ok := s.backend.(DeltaMetaBackend)
-	if !ok {
-		return false, nil
-	}
 	//txvet:ignore lockhold PutMetaDelta buffers the delta record in memory; durability is deferred to Commit
-	if err := dm.PutMetaDelta(delta); err != nil {
-		return true, err
-	}
-	return true, nil
+	return s.backend.PutMetaDelta(delta)
 }
 
-// MetaDeltas returns the committed metadata deltas recovered since the last
-// full snapshot, nil when the backend has none or lacks delta support.
+// MetaDeltas returns the metadata deltas logged since the last full
+// snapshot; after recovery, the committed ones.
 func (s *Store) MetaDeltas() [][]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dm, ok := s.backend.(DeltaMetaBackend)
-	if !ok {
-		return nil
-	}
 	//txvet:ignore lockhold MetaDeltas is an in-memory read of the buffered records
-	return dm.MetaDeltas()
+	return s.backend.MetaDeltas()
 }
 
 // Provenance reports where the extent's bytes live at rest (segment file

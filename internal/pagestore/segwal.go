@@ -12,20 +12,16 @@ import (
 	"sync"
 )
 
-// The segmented WAL is the rotation-capable successor of the single-file
-// WAL: the log is a directory of numbered segment files (wal-00000001.seg,
-// wal-00000002.seg, ...) sharing the single-file frame codec. Rotation
-// happens only at commit boundaries, so a transaction never spans segments
-// and every segment but the active one ends exactly at a commit marker.
-// That invariant is what makes compaction safe: once a checkpoint image
-// covers the log up to a position (seq, off), every segment numbered below
-// seq is dead weight and can be deleted.
+// The segmented WAL is the durable backend: the log is a directory of
+// numbered segment files (wal-00000001.seg, wal-00000002.seg, ...) holding
+// the records wal.go defines. Rotation happens only at commit boundaries, so
+// a transaction never spans segments and every segment but the active one
+// ends exactly at a commit marker. That invariant is what makes compaction
+// safe: once a checkpoint image covers the log up to a position (seq, off),
+// every segment numbered below seq is dead weight and can be deleted.
 //
 // On top of the Backend contract the segmented WAL adds:
 //
-//   - DeltaMetaBackend: recMetaDelta records so per-commit metadata cost is
-//     proportional to the mutated document (the single-file WAL rewrites
-//     the full catalog every commit).
 //   - ProvenanceBackend: every live extent remembers which segment file and
 //     offset (or checkpoint image) its bytes came from, for fsck triage.
 //   - BaseState opens: the checkpoint subsystem hands the recovered image
@@ -118,9 +114,10 @@ var (
 	ErrBadSegment = errors.New("pagestore: wal segment corrupt")
 )
 
-// SegmentedWAL is the durable segment-rotating backend. Like the
-// single-file WAL, reads are served from an in-memory mirror; the segment
-// files are the durability story.
+// SegmentedWAL is the durable segment-rotating backend. Reads are served
+// from an in-memory mirror of the extent table (the log is the durability
+// story, not the read path — like a log-structured store with a resident
+// index).
 type SegmentedWAL struct {
 	mu       sync.Mutex
 	dir      string
@@ -297,9 +294,11 @@ func (w *SegmentedWAL) replaySegment(seq, skip int64, last bool) error {
 	return nil
 }
 
-// applyLog is replayLog with origin tracking: committed records mutate the
-// backend state directly, and extents remember the segment/offset their
-// frame started at.
+// applyLog decodes data and applies it commit-by-commit: committed records
+// mutate the backend state directly, and extents remember the segment/offset
+// their frame started at. Decoding stops at the first malformed frame and
+// everything after the last commit marker is ignored; it must never panic,
+// whatever the input (FuzzWALDecode feeds it arbitrary bytes).
 func (w *SegmentedWAL) applyLog(seq, base int64, data []byte) replayState {
 	var st replayState
 	type segOp struct {
@@ -475,7 +474,7 @@ func (w *SegmentedWAL) Meta() []byte {
 	return w.meta
 }
 
-// PutMetaDelta logs an incremental metadata record (DeltaMetaBackend).
+// PutMetaDelta logs an incremental metadata record.
 func (w *SegmentedWAL) PutMetaDelta(delta []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -504,9 +503,8 @@ func (w *SegmentedWAL) Commit() error {
 		return err
 	}
 	w.stats.Commits++
-	// Commit is the durability barrier: the fsync must
-	// complete before the mutation is acknowledged, so it stays under the
-	// lock like the single-file WAL's.
+	// Commit is the durability barrier: the fsync must complete before the
+	// mutation is acknowledged, so it stays under the lock.
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("pagestore: sync wal segment: %w", err)
 	}

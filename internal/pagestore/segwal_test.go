@@ -61,8 +61,16 @@ func TestSegWALPersistReopenAcrossRotation(t *testing.T) {
 	if err != nil || string(ext.Data) != "extent-0-rewritten" {
 		t.Fatalf("Get(0) after reopen = %q, %v", ext.Data, err)
 	}
+	if ext.Sum != Checksum(ext.Data) {
+		t.Fatalf("recovered checksum %#x does not match payload", ext.Sum)
+	}
 	if _, err := r.Get(2); !errors.Is(err, ErrUnknownExtent) {
 		t.Fatalf("freed extent survived reopen: %v", err)
+	}
+	// NextPage must clear the high-water mark of every recovered extent,
+	// including the freed one (its pages are not reused).
+	if np := r.NextPage(); np < 5 {
+		t.Fatalf("NextPage after reopen = %d, want >= 5", np)
 	}
 	for _, i := range []int64{1, 3, 4} {
 		ext, err := r.Get(i)
@@ -73,6 +81,9 @@ func TestSegWALPersistReopenAcrossRotation(t *testing.T) {
 	st := r.Stats()
 	if st.SegmentsScanned < 3 || st.ReplayedCommits != 6 || st.ReplayedExtents != 6 {
 		t.Fatalf("replay stats = %+v, want >=3 segments, 6 commits, 6 extents", st)
+	}
+	if st.TruncatedOnOpen != 0 || st.RecoveredBytes == 0 {
+		t.Fatalf("clean reopen stats = %+v, want full recovery, no truncation", st)
 	}
 	if rp := r.Pos(); rp != pos {
 		t.Fatalf("Pos after reopen = %+v, want %+v", rp, pos)
@@ -128,20 +139,14 @@ func TestSegWALMetaDeltas(t *testing.T) {
 
 func TestSegWALAdoptsLegacyWAL(t *testing.T) {
 	dir := t.TempDir()
-	lw, err := OpenWAL(filepath.Join(dir, legacyWALFile))
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
+	// A pre-segmentation log: one file of the same frames, with a full
+	// metadata snapshot per commit and no delta records.
+	log := encodeFrame(nil, recExtent, 0, 1, []byte("legacy extent"))
+	log = encodeFrame(log, recMeta, 0, 0, []byte("legacy meta"))
+	log = encodeFrame(log, recCommit, 0, 0, nil)
+	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), log, 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
-	if err := lw.Put(0, Extent{Data: []byte("legacy extent"), Pages: 1, Sum: Checksum([]byte("legacy extent"))}); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := lw.PutMeta([]byte("legacy meta")); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
-	if err := lw.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	lw.Close()
 
 	w := openSeg(t, dir, 1<<20)
 	ext, err := w.Get(0)
@@ -292,24 +297,35 @@ func TestSegWALDropSegmentsBelow(t *testing.T) {
 // commit, with earlier (closed) segments intact.
 func TestSegWALTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
-	w := openSeg(t, dir, 128)
+	w := openSeg(t, dir, 200)
 	type golden struct {
 		pos     LogPos
 		extents map[int64]string
+		meta    string
+		deltas  int
 	}
 	goldens := []golden{}
-	snap := func(extents map[int64]string) {
-		goldens = append(goldens, golden{pos: w.Pos(), extents: extents})
+	snap := func(extents map[int64]string, meta string, deltas int) {
+		goldens = append(goldens, golden{pos: w.Pos(), extents: extents, meta: meta, deltas: deltas})
 	}
-	segPut(t, w, 0, bytes.Repeat([]byte("a"), 100), 1)
+	segPut(t, w, 0, bytes.Repeat([]byte("a"), 200), 1)
 	segCommit(t, w) // fills segment 1, rotates
-	snap(map[int64]string{0: strings.Repeat("a", 100)})
+	snap(map[int64]string{0: strings.Repeat("a", 200)}, "", 0)
 	segPut(t, w, 1, []byte("bb"), 1)
+	if err := w.PutMeta([]byte("m1")); err != nil {
+		t.Fatalf("PutMeta: %v", err)
+	}
 	segCommit(t, w)
-	snap(map[int64]string{0: strings.Repeat("a", 100), 1: "bb"})
+	snap(map[int64]string{0: strings.Repeat("a", 200), 1: "bb"}, "m1", 0)
+	if err := w.Delete(1); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
 	segPut(t, w, 2, []byte("ccc"), 1)
+	if err := w.PutMetaDelta([]byte("d1")); err != nil {
+		t.Fatalf("PutMetaDelta: %v", err)
+	}
 	segCommit(t, w)
-	snap(map[int64]string{0: strings.Repeat("a", 100), 1: "bb", 2: "ccc"})
+	snap(map[int64]string{0: strings.Repeat("a", 200), 2: "ccc"}, "m1", 1)
 	active := w.Pos()
 	w.Close()
 	if active.Seq != 2 {
@@ -342,7 +358,7 @@ func TestSegWALTornTailEveryOffset(t *testing.T) {
 				t.Fatalf("WriteFile: %v", err)
 			}
 		}
-		r, err := OpenSegmentedWAL(SegWALConfig{Dir: work, SegmentBytes: 128})
+		r, err := OpenSegmentedWAL(SegWALConfig{Dir: work, SegmentBytes: 200})
 		if err != nil {
 			t.Fatalf("cut=%d: open: %v", cut, err)
 		}
@@ -357,7 +373,132 @@ func TestSegWALTornTailEveryOffset(t *testing.T) {
 				t.Fatalf("cut=%d: Get(%d) = %q, %v", cut, start, ext.Data, err)
 			}
 		}
+		if got := string(r.Meta()); got != want.meta {
+			t.Fatalf("cut=%d: Meta = %q, want %q", cut, got, want.meta)
+		}
+		if got := len(r.MetaDeltas()); got != want.deltas {
+			t.Fatalf("cut=%d: %d meta deltas, want %d", cut, got, want.deltas)
+		}
+		// Everything past the last whole commit is cut away, nothing more.
+		keep := int64(0)
+		if want.pos.Seq == active.Seq {
+			keep = want.pos.Off
+		}
+		if st := r.Stats(); st.TruncatedOnOpen != cut-keep {
+			t.Fatalf("cut=%d: TruncatedOnOpen = %d, want %d", cut, st.TruncatedOnOpen, cut-keep)
+		}
 		r.Close()
+	}
+}
+
+func TestSegWALUncommittedTailDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	w := openSeg(t, dir, 1<<20)
+	segPut(t, w, 0, []byte("durable"), 1)
+	segCommit(t, w)
+	committed, err := w.Size()
+	if err != nil {
+		t.Fatalf("Size: %v", err)
+	}
+	// Appended but never committed: must vanish on reopen.
+	segPut(t, w, 1, []byte("volatile"), 1)
+	if err := w.PutMeta([]byte("volatile meta")); err != nil {
+		t.Fatalf("PutMeta: %v", err)
+	}
+	w.Close()
+
+	r := openSeg(t, dir, 1<<20)
+	if _, err := r.Get(1); !errors.Is(err, ErrUnknownExtent) {
+		t.Fatalf("uncommitted extent survived reopen: %v", err)
+	}
+	if m := r.Meta(); m != nil {
+		t.Fatalf("uncommitted meta survived reopen: %q", m)
+	}
+	if _, err := r.Get(0); err != nil {
+		t.Fatalf("committed extent lost: %v", err)
+	}
+	st := r.Stats()
+	if st.RecoveredBytes != committed {
+		t.Fatalf("RecoveredBytes = %d, want %d", st.RecoveredBytes, committed)
+	}
+	if st.TruncatedOnOpen == 0 {
+		t.Fatalf("TruncatedOnOpen = 0, want the uncommitted tail counted")
+	}
+	if sz, _ := r.Size(); sz != committed {
+		t.Fatalf("file size after truncation = %d, want %d", sz, committed)
+	}
+}
+
+func TestSegWALCorruptTailBytes(t *testing.T) {
+	dir := t.TempDir()
+	w := openSeg(t, dir, 1<<20)
+	segPut(t, w, 0, []byte("keep me"), 1)
+	segCommit(t, w)
+	keep, _ := w.Size()
+	segPut(t, w, 1, []byte("bit-rotted"), 1)
+	segCommit(t, w)
+	w.Close()
+
+	// Flip a byte inside the second commit's extent record: the frame CRC
+	// fails, replay stops there, and the active segment is cut back to
+	// commit one.
+	path := filepath.Join(dir, SegmentFileName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	data[keep+frameHeaderLen] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+
+	r := openSeg(t, dir, 1<<20)
+	if _, err := r.Get(0); err != nil {
+		t.Fatalf("first commit lost after tail corruption: %v", err)
+	}
+	if _, err := r.Get(1); !errors.Is(err, ErrUnknownExtent) {
+		t.Fatalf("corrupt record replayed: %v", err)
+	}
+	if sz, _ := r.Size(); sz != keep {
+		t.Fatalf("truncated size = %d, want %d", sz, keep)
+	}
+}
+
+func TestSegWALStatsWriteAmplification(t *testing.T) {
+	w := openSeg(t, t.TempDir(), 1<<20)
+	payload := bytes.Repeat([]byte("x"), 1000)
+	segPut(t, w, 0, payload, 1)
+	segCommit(t, w)
+	st := w.Stats()
+	if st.Records != 2 || st.Commits != 1 || st.Syncs != 1 {
+		t.Fatalf("stats = %+v, want 2 records, 1 commit, 1 sync", st)
+	}
+	if st.PayloadBytes != int64(len(payload)) {
+		t.Fatalf("PayloadBytes = %d, want %d", st.PayloadBytes, len(payload))
+	}
+	wantAppended := int64(len(payload)) + 2*(frameHeaderLen+frameCRCLen)
+	if st.BytesAppended != wantAppended {
+		t.Fatalf("BytesAppended = %d, want %d", st.BytesAppended, wantAppended)
+	}
+	amp := st.WriteAmplification()
+	if amp <= 1 || amp > 1.1 {
+		t.Fatalf("WriteAmplification = %v, want slightly above 1 for a 1000-byte payload", amp)
+	}
+	if (WALStats{}).WriteAmplification() != 0 {
+		t.Fatalf("zero stats must report zero amplification")
+	}
+}
+
+func TestSegWALRejectsUseAfterClose(t *testing.T) {
+	w := openSeg(t, t.TempDir(), 1<<20)
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := w.Put(0, Extent{Data: []byte("x"), Pages: 1}); err == nil {
+		t.Fatalf("Put after Close succeeded")
 	}
 }
 

@@ -4,25 +4,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sync"
 )
 
-// The WAL backend makes the page store durable: every mutation (extent
-// write, extent free, metadata snapshot) is appended to a single
-// write-ahead-log file as a framed, CRC32-checksummed record, and Commit
-// appends a commit marker and fsyncs. Recovery (OpenWAL on an existing
-// file) replays the log, applying records commit-by-commit; a torn tail —
-// a partial record, a record with a bad checksum, or complete records not
-// followed by a commit marker — is discarded and the file truncated back
-// to the last durable commit, so a crash at any byte offset recovers
-// exactly the committed prefix.
+// The write-ahead-log record format, as the segmented WAL (segwal.go)
+// appends and replays it: every mutation (extent write, extent free,
+// metadata snapshot, per-document metadata delta) is one framed,
+// CRC32-checksummed record, and a commit is a commit-marker record followed
+// by an fsync. Replay applies records commit-by-commit; a partial record, a
+// record with a bad checksum, or complete records not followed by a commit
+// marker are a torn tail and are not applied, so a crash at any byte offset
+// recovers exactly the committed prefix.
 //
 // Record frame layout (little-endian):
 //
 //	offset size field
-//	0      1    kind: 'E' extent, 'F' free, 'M' meta, 'C' commit
+//	0      1    kind: 'E' extent, 'F' free, 'M' meta, 'D' meta delta, 'C' commit
 //	1      8    start page (extent/free; zero otherwise)
 //	9      4    extent length in pages (extent; zero otherwise)
 //	13     4    payload length in bytes
@@ -39,9 +35,8 @@ const (
 	recCommit byte = 'C'
 	// recMetaDelta is an incremental metadata record: instead of a full
 	// snapshot of the version store's delta index, the payload describes
-	// only the mutated document. Only the segmented WAL writes these (the
-	// single-file WAL predates them); replay collects them in order on top
-	// of the last full recMeta snapshot.
+	// only the mutated document. Replay collects them in order on top of the
+	// last full recMeta snapshot; a pre-segmentation pages.wal has none.
 	recMetaDelta byte = 'D'
 
 	frameHeaderLen = 17
@@ -54,18 +49,18 @@ const (
 
 // WALStats counts write-path activity of a WAL backend. BytesAppended over
 // PayloadBytes is the write amplification of the log format (framing,
-// metadata snapshots and commit markers on top of extent payloads).
+// metadata records and commit markers on top of extent payloads).
 type WALStats struct {
 	Records         int64 // records appended (including commit markers)
 	Commits         int64 // Commit calls
 	Syncs           int64 // fsyncs issued
-	BytesAppended   int64 // total bytes appended to the log file
+	BytesAppended   int64 // total bytes appended to the log
 	PayloadBytes    int64 // extent payload bytes appended
 	RecoveredBytes  int64 // bytes of committed log replayed at open
 	TruncatedOnOpen int64 // bytes of torn/uncommitted tail discarded at open
 	ReplayedCommits int64 // commit markers applied during open replay
 	ReplayedExtents int64 // extent records applied during open replay
-	SegmentsScanned int64 // segment files read during open (segmented WAL)
+	SegmentsScanned int64 // segment files read during open
 }
 
 // WriteAmplification returns BytesAppended / PayloadBytes (0 when no
@@ -77,66 +72,8 @@ func (w WALStats) WriteAmplification() float64 {
 	return float64(w.BytesAppended) / float64(w.PayloadBytes)
 }
 
-// WAL is the durable append-only file backend. Reads are served from an
-// in-memory mirror of the extent table (the log is the durability story,
-// not the read path — like a log-structured store with a resident index).
-type WAL struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	extents map[int64]Extent
-	meta    []byte
-	next    int64
-	stats   WALStats
-	closed  bool
-}
-
-// OpenWAL opens (or creates) the write-ahead log at path and replays it.
-// A torn or uncommitted tail is truncated away; everything up to the last
-// commit marker is restored.
-func OpenWAL(path string) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: open wal: %w", err)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pagestore: read wal: %w", err)
-	}
-	state := replayLog(data)
-	w := &WAL{
-		f:       f,
-		path:    path,
-		extents: state.extents,
-		meta:    state.meta,
-		next:    state.next,
-	}
-	w.stats.RecoveredBytes = state.committed
-	w.stats.TruncatedOnOpen = int64(len(data)) - state.committed
-	w.stats.ReplayedCommits = state.commits
-	w.stats.ReplayedExtents = state.extentsApplied
-	if state.committed < int64(len(data)) {
-		// Torn or uncommitted tail: cut the file back to the last commit
-		// so future appends continue from a durable prefix.
-		if err := f.Truncate(state.committed); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("pagestore: truncate torn wal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pagestore: seek wal: %w", err)
-	}
-	return w, nil
-}
-
-// replayState is the recovered image of a log prefix.
+// replayState counts what replaying one stretch of log applied.
 type replayState struct {
-	extents        map[int64]Extent
-	meta           []byte
-	metaDeltas     [][]byte // committed recMetaDelta payloads since the last full recMeta
-	next           int64
 	committed      int64 // offset just past the last applied commit marker
 	commits        int64 // commit markers applied
 	extentsApplied int64 // extent records applied
@@ -148,60 +85,6 @@ type pendingOp struct {
 	start int64
 	ext   Extent
 	meta  []byte
-}
-
-// replayLog decodes and applies a log image commit-by-commit. It never
-// fails: decoding stops at the first malformed frame and everything after
-// the last commit marker is ignored. It must never panic, whatever the
-// input (the fuzz target feeds it arbitrary bytes).
-func replayLog(data []byte) replayState {
-	st := replayState{extents: make(map[int64]Extent)}
-	var pending []pendingOp
-	off := int64(0)
-	for {
-		fr, n, err := decodeFrame(data[off:])
-		if err != nil {
-			break
-		}
-		switch fr.kind {
-		case recExtent:
-			ext := Extent{
-				Data:  append([]byte(nil), fr.payload...),
-				Pages: int32(fr.pages),
-				Sum:   Checksum(fr.payload),
-			}
-			pending = append(pending, pendingOp{kind: recExtent, start: fr.start, ext: ext})
-		case recFree:
-			pending = append(pending, pendingOp{kind: recFree, start: fr.start})
-		case recMeta:
-			pending = append(pending, pendingOp{kind: recMeta, meta: append([]byte(nil), fr.payload...)})
-		case recMetaDelta:
-			pending = append(pending, pendingOp{kind: recMetaDelta, meta: append([]byte(nil), fr.payload...)})
-		case recCommit:
-			for _, op := range pending {
-				switch op.kind {
-				case recExtent:
-					st.extents[op.start] = op.ext
-					if end := op.start + int64(op.ext.Pages); end > st.next {
-						st.next = end
-					}
-					st.extentsApplied++
-				case recFree:
-					delete(st.extents, op.start)
-				case recMeta:
-					st.meta = op.meta
-					st.metaDeltas = nil
-				case recMetaDelta:
-					st.metaDeltas = append(st.metaDeltas, op.meta)
-				}
-			}
-			pending = pending[:0]
-			st.committed = off + int64(n)
-			st.commits++
-		}
-		off += int64(n)
-	}
-	return st
 }
 
 // frame is one decoded WAL record.
@@ -267,136 +150,4 @@ func encodeFrame(buf []byte, kind byte, start int64, pages uint32, payload []byt
 	var crc [frameCRCLen]byte
 	binary.LittleEndian.PutUint32(crc[:], Checksum(rec[len(buf):]))
 	return append(rec, crc[:]...)
-}
-
-// append writes one framed record to the log file.
-func (w *WAL) append(kind byte, start int64, pages uint32, payload []byte) error {
-	if w.closed {
-		return fmt.Errorf("pagestore: wal %s is closed", w.path)
-	}
-	rec := encodeFrame(nil, kind, start, pages, payload)
-	if _, err := w.f.Write(rec); err != nil {
-		return fmt.Errorf("pagestore: append wal record: %w", err)
-	}
-	w.stats.Records++
-	w.stats.BytesAppended += int64(len(rec))
-	return nil
-}
-
-// Put logs the extent and applies it to the in-memory mirror. It becomes
-// durable at the next Commit.
-func (w *WAL) Put(start int64, ext Extent) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.append(recExtent, start, uint32(ext.Pages), ext.Data); err != nil {
-		return err
-	}
-	w.stats.PayloadBytes += int64(len(ext.Data))
-	w.extents[start] = ext
-	if end := start + int64(ext.Pages); end > w.next {
-		w.next = end
-	}
-	return nil
-}
-
-func (w *WAL) Get(start int64) (Extent, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	ext, ok := w.extents[start]
-	if !ok {
-		return Extent{}, ErrUnknownExtent
-	}
-	return ext, nil
-}
-
-func (w *WAL) Delete(start int64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.extents[start]; !ok {
-		return nil
-	}
-	if err := w.append(recFree, start, 0, nil); err != nil {
-		return err
-	}
-	delete(w.extents, start)
-	return nil
-}
-
-func (w *WAL) PutMeta(meta []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.append(recMeta, 0, 0, meta); err != nil {
-		return err
-	}
-	w.meta = append([]byte(nil), meta...)
-	return nil
-}
-
-func (w *WAL) Meta() []byte {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.meta
-}
-
-// Commit appends a commit marker and fsyncs the log: everything appended
-// before it is durable once Commit returns.
-func (w *WAL) Commit() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.append(recCommit, 0, 0, nil); err != nil {
-		return err
-	}
-	w.stats.Commits++
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("pagestore: sync wal: %w", err)
-	}
-	w.stats.Syncs++
-	return nil
-}
-
-func (w *WAL) Range(fn func(start int64, ext Extent) bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for start, ext := range w.extents {
-		if !fn(start, ext) {
-			return
-		}
-	}
-}
-
-func (w *WAL) NextPage() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.next
-}
-
-func (w *WAL) Durable() bool { return true }
-
-// Stats returns a snapshot of the WAL counters.
-func (w *WAL) Stats() WALStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
-}
-
-// Size returns the current log file size in bytes (the durable prefix plus
-// any records appended since the last commit).
-func (w *WAL) Size() (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	fi, err := w.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
-
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	return w.f.Close()
 }

@@ -5,285 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
-
-func openWAL(t *testing.T, path string) *WAL {
-	t.Helper()
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatalf("OpenWAL(%s): %v", path, err)
-	}
-	t.Cleanup(func() { w.Close() })
-	return w
-}
-
-func mustPut(t *testing.T, w *WAL, start int64, data []byte, pages int32) {
-	t.Helper()
-	if err := w.Put(start, Extent{Data: data, Pages: pages, Sum: Checksum(data)}); err != nil {
-		t.Fatalf("Put(%d): %v", start, err)
-	}
-}
-
-func mustCommit(t *testing.T, w *WAL) {
-	t.Helper()
-	if err := w.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-}
-
-func TestWALPersistReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.wal")
-	w := openWAL(t, path)
-	mustPut(t, w, 0, []byte("first extent"), 2)
-	mustPut(t, w, 2, []byte("second extent"), 3)
-	if err := w.PutMeta([]byte(`{"docs":1}`)); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
-	mustCommit(t, w)
-	// Overwrite one extent and free the other in a second commit.
-	mustPut(t, w, 0, []byte("first extent, rewritten"), 2)
-	if err := w.Delete(2); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	mustCommit(t, w)
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	r := openWAL(t, path)
-	ext, err := r.Get(0)
-	if err != nil {
-		t.Fatalf("Get(0) after reopen: %v", err)
-	}
-	if string(ext.Data) != "first extent, rewritten" {
-		t.Fatalf("Get(0) = %q, want rewritten payload", ext.Data)
-	}
-	if ext.Sum != Checksum(ext.Data) {
-		t.Fatalf("recovered checksum %#x does not match payload", ext.Sum)
-	}
-	if _, err := r.Get(2); !errors.Is(err, ErrUnknownExtent) {
-		t.Fatalf("Get(2) after freeing = %v, want ErrUnknownExtent", err)
-	}
-	if got := string(r.Meta()); got != `{"docs":1}` {
-		t.Fatalf("Meta after reopen = %q", got)
-	}
-	// NextPage must clear the high-water mark of every recovered extent,
-	// including the freed one (its pages are not reused).
-	if np := r.NextPage(); np < 2 {
-		t.Fatalf("NextPage after reopen = %d, want >= 2", np)
-	}
-	if st := r.Stats(); st.TruncatedOnOpen != 0 || st.RecoveredBytes == 0 {
-		t.Fatalf("clean reopen stats = %+v, want full recovery, no truncation", st)
-	}
-}
-
-func TestWALUncommittedTailDiscarded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.wal")
-	w := openWAL(t, path)
-	mustPut(t, w, 0, []byte("durable"), 1)
-	mustCommit(t, w)
-	committed, err := w.Size()
-	if err != nil {
-		t.Fatalf("Size: %v", err)
-	}
-	// Appended but never committed: must vanish on reopen.
-	mustPut(t, w, 1, []byte("volatile"), 1)
-	if err := w.PutMeta([]byte("volatile meta")); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
-	w.Close()
-
-	r := openWAL(t, path)
-	if _, err := r.Get(1); !errors.Is(err, ErrUnknownExtent) {
-		t.Fatalf("uncommitted extent survived reopen: %v", err)
-	}
-	if m := r.Meta(); m != nil {
-		t.Fatalf("uncommitted meta survived reopen: %q", m)
-	}
-	if _, err := r.Get(0); err != nil {
-		t.Fatalf("committed extent lost: %v", err)
-	}
-	st := r.Stats()
-	if st.RecoveredBytes != committed {
-		t.Fatalf("RecoveredBytes = %d, want %d", st.RecoveredBytes, committed)
-	}
-	if st.TruncatedOnOpen == 0 {
-		t.Fatalf("TruncatedOnOpen = 0, want the uncommitted tail counted")
-	}
-	if sz, _ := r.Size(); sz != committed {
-		t.Fatalf("file size after truncation = %d, want %d", sz, committed)
-	}
-}
-
-// walGolden is the expected recovered image at one commit boundary.
-type walGolden struct {
-	offset  int64            // log size right after the commit
-	extents map[int64]string // start page -> payload
-	meta    string
-}
-
-// TestWALTornTailRecovery truncates a three-commit log at every byte offset
-// and asserts recovery lands exactly on the state of the last whole commit —
-// the golden states table. This is the crash-at-every-offset property at the
-// log level.
-func TestWALTornTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pages.wal")
-	w := openWAL(t, path)
-
-	goldens := []walGolden{{offset: 0, extents: map[int64]string{}}}
-	snap := func(extents map[int64]string, meta string) {
-		sz, err := w.Size()
-		if err != nil {
-			t.Fatalf("Size: %v", err)
-		}
-		goldens = append(goldens, walGolden{offset: sz, extents: extents, meta: meta})
-	}
-
-	mustPut(t, w, 0, []byte("alpha"), 1)
-	mustPut(t, w, 1, []byte("beta"), 1)
-	mustCommit(t, w)
-	snap(map[int64]string{0: "alpha", 1: "beta"}, "")
-
-	mustPut(t, w, 2, []byte("gamma-long-payload-crossing-frames"), 2)
-	if err := w.PutMeta([]byte("m1")); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
-	mustCommit(t, w)
-	snap(map[int64]string{0: "alpha", 1: "beta", 2: "gamma-long-payload-crossing-frames"}, "m1")
-
-	if err := w.Delete(1); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	mustPut(t, w, 0, []byte("alpha-v2"), 1)
-	if err := w.PutMeta([]byte("m2")); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
-	mustCommit(t, w)
-	snap(map[int64]string{0: "alpha-v2", 2: "gamma-long-payload-crossing-frames"}, "m2")
-
-	w.Close()
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	if int64(len(full)) != goldens[len(goldens)-1].offset {
-		t.Fatalf("file size %d != last commit offset %d", len(full), goldens[len(goldens)-1].offset)
-	}
-
-	for cut := int64(0); cut <= int64(len(full)); cut++ {
-		// The golden state is the last commit wholly inside the prefix.
-		want := goldens[0]
-		for _, g := range goldens {
-			if g.offset <= cut {
-				want = g
-			}
-		}
-		tp := filepath.Join(dir, "torn.wal")
-		if err := os.WriteFile(tp, full[:cut], 0o644); err != nil {
-			t.Fatalf("write torn copy: %v", err)
-		}
-		r, err := OpenWAL(tp)
-		if err != nil {
-			t.Fatalf("cut=%d: OpenWAL: %v", cut, err)
-		}
-		for start, payload := range want.extents {
-			ext, err := r.Get(start)
-			if err != nil {
-				t.Fatalf("cut=%d: Get(%d): %v", cut, start, err)
-			}
-			if string(ext.Data) != payload {
-				t.Fatalf("cut=%d: Get(%d) = %q, want %q", cut, start, ext.Data, payload)
-			}
-		}
-		count := 0
-		r.Range(func(int64, Extent) bool { count++; return true })
-		if count != len(want.extents) {
-			t.Fatalf("cut=%d: recovered %d extents, want %d", cut, count, len(want.extents))
-		}
-		if got := string(r.Meta()); got != want.meta {
-			t.Fatalf("cut=%d: Meta = %q, want %q", cut, got, want.meta)
-		}
-		if st := r.Stats(); st.RecoveredBytes != want.offset {
-			t.Fatalf("cut=%d: RecoveredBytes = %d, want %d", cut, st.RecoveredBytes, want.offset)
-		}
-		r.Close()
-		os.Remove(tp)
-	}
-}
-
-func TestWALCorruptTailBytes(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pages.wal")
-	w := openWAL(t, path)
-	mustPut(t, w, 0, []byte("keep me"), 1)
-	mustCommit(t, w)
-	keep, _ := w.Size()
-	mustPut(t, w, 1, []byte("bit-rotted"), 1)
-	mustCommit(t, w)
-	w.Close()
-
-	// Flip a byte inside the second commit's extent record: the frame CRC
-	// fails, replay stops there, and the file is cut back to commit one.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	data[keep+frameHeaderLen] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-
-	r := openWAL(t, path)
-	if _, err := r.Get(0); err != nil {
-		t.Fatalf("first commit lost after tail corruption: %v", err)
-	}
-	if _, err := r.Get(1); !errors.Is(err, ErrUnknownExtent) {
-		t.Fatalf("corrupt record replayed: %v", err)
-	}
-	if sz, _ := r.Size(); sz != keep {
-		t.Fatalf("truncated size = %d, want %d", sz, keep)
-	}
-}
-
-func TestWALStatsWriteAmplification(t *testing.T) {
-	w := openWAL(t, filepath.Join(t.TempDir(), "pages.wal"))
-	payload := bytes.Repeat([]byte("x"), 1000)
-	mustPut(t, w, 0, payload, 1)
-	mustCommit(t, w)
-	st := w.Stats()
-	if st.Records != 2 || st.Commits != 1 || st.Syncs != 1 {
-		t.Fatalf("stats = %+v, want 2 records, 1 commit, 1 sync", st)
-	}
-	if st.PayloadBytes != int64(len(payload)) {
-		t.Fatalf("PayloadBytes = %d, want %d", st.PayloadBytes, len(payload))
-	}
-	wantAppended := int64(len(payload)) + 2*(frameHeaderLen+frameCRCLen)
-	if st.BytesAppended != wantAppended {
-		t.Fatalf("BytesAppended = %d, want %d", st.BytesAppended, wantAppended)
-	}
-	amp := st.WriteAmplification()
-	if amp <= 1 || amp > 1.1 {
-		t.Fatalf("WriteAmplification = %v, want slightly above 1 for a 1000-byte payload", amp)
-	}
-	if (WALStats{}).WriteAmplification() != 0 {
-		t.Fatalf("zero stats must report zero amplification")
-	}
-}
-
-func TestWALRejectsUseAfterClose(t *testing.T) {
-	w := openWAL(t, filepath.Join(t.TempDir(), "pages.wal"))
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if err := w.Put(0, Extent{Data: []byte("x"), Pages: 1}); err == nil {
-		t.Fatalf("Put after Close succeeded")
-	}
-}
 
 func TestDecodeFrameRejects(t *testing.T) {
 	good := encodeFrame(nil, recExtent, 7, 2, []byte("payload"))
@@ -331,9 +55,72 @@ func oversized() []byte {
 	return b
 }
 
-// FuzzWALDecode feeds arbitrary bytes to the recovery path. The invariants:
-// replay never panics, never reports more committed bytes than it was given,
-// and whatever it recovers survives a round trip through a real file.
+// logImage is what replayLog recovers from a log prefix.
+type logImage struct {
+	replayState
+	extents    map[int64]Extent
+	meta       []byte
+	metaDeltas [][]byte // committed recMetaDelta payloads since the last full recMeta
+	next       int64
+}
+
+// replayLog is the reference replay FuzzWALDecode holds the segmented WAL
+// to: it decodes a log image and applies it commit-by-commit into a plain
+// value, sharing only decodeFrame with SegmentedWAL.applyLog. Decoding stops
+// at the first malformed frame and everything after the last commit marker
+// is ignored.
+func replayLog(data []byte) logImage {
+	st := logImage{extents: make(map[int64]Extent)}
+	var pending []pendingOp
+	off := int64(0)
+	for {
+		fr, n, err := decodeFrame(data[off:])
+		if err != nil {
+			break
+		}
+		switch fr.kind {
+		case recExtent:
+			ext := Extent{
+				Data:  append([]byte(nil), fr.payload...),
+				Pages: int32(fr.pages),
+				Sum:   Checksum(fr.payload),
+			}
+			pending = append(pending, pendingOp{kind: recExtent, start: fr.start, ext: ext})
+		case recFree:
+			pending = append(pending, pendingOp{kind: recFree, start: fr.start})
+		case recMeta, recMetaDelta:
+			pending = append(pending, pendingOp{kind: fr.kind, meta: append([]byte(nil), fr.payload...)})
+		case recCommit:
+			for _, op := range pending {
+				switch op.kind {
+				case recExtent:
+					st.extents[op.start] = op.ext
+					if end := op.start + int64(op.ext.Pages); end > st.next {
+						st.next = end
+					}
+					st.extentsApplied++
+				case recFree:
+					delete(st.extents, op.start)
+				case recMeta:
+					st.meta = op.meta
+					st.metaDeltas = nil
+				case recMetaDelta:
+					st.metaDeltas = append(st.metaDeltas, op.meta)
+				}
+			}
+			pending = pending[:0]
+			st.committed = off + int64(n)
+			st.commits++
+		}
+		off += int64(n)
+	}
+	return st
+}
+
+// FuzzWALDecode feeds arbitrary bytes to the recovery path as the only
+// segment of a log. The invariants: replay never panics, never reports more
+// committed bytes than it was given, and OpenSegmentedWAL recovers exactly
+// what the reference replay does, truncating the rest.
 func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeFrame(nil, recCommit, 0, 0, nil))
@@ -342,6 +129,9 @@ func FuzzWALDecode(f *testing.F) {
 	log = encodeFrame(log, recCommit, 0, 0, nil)
 	f.Add(log)
 	f.Add(log[:len(log)-3])
+	withDelta := encodeFrame(log, recMetaDelta, 0, 0, []byte("seed delta"))
+	withDelta = encodeFrame(withDelta, recFree, 0, 0, nil)
+	f.Add(encodeFrame(withDelta, recCommit, 0, 0, nil))
 	f.Add([]byte{'E', 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := replayLog(data)
@@ -356,27 +146,44 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("recovered extent %d with %d pages", start, ext.Pages)
 			}
 		}
-		// The committed prefix must replay identically through OpenWAL.
-		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		dir := t.TempDir()
+		path := filepath.Join(dir, SegmentFileName(1))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatalf("WriteFile: %v", err)
 		}
-		w, err := OpenWAL(path)
+		w, err := OpenSegmentedWAL(SegWALConfig{Dir: dir})
 		if err != nil {
-			t.Fatalf("OpenWAL on fuzz input: %v", err)
+			t.Fatalf("OpenSegmentedWAL on fuzz input: %v", err)
 		}
 		defer w.Close()
 		count := 0
 		w.Range(func(start int64, ext Extent) bool {
 			count++
 			want, ok := st.extents[start]
-			if !ok || !bytes.Equal(want.Data, ext.Data) {
-				t.Fatalf("OpenWAL and replayLog disagree on extent %d", start)
+			if !ok || !bytes.Equal(want.Data, ext.Data) || want.Pages != ext.Pages || want.Sum != ext.Sum {
+				t.Fatalf("OpenSegmentedWAL and replayLog disagree on extent %d", start)
 			}
 			return true
 		})
 		if count != len(st.extents) {
-			t.Fatalf("OpenWAL recovered %d extents, replayLog %d", count, len(st.extents))
+			t.Fatalf("OpenSegmentedWAL recovered %d extents, replayLog %d", count, len(st.extents))
+		}
+		if !bytes.Equal(w.Meta(), st.meta) {
+			t.Fatalf("Meta = %q, replayLog %q", w.Meta(), st.meta)
+		}
+		if got := w.MetaDeltas(); !reflect.DeepEqual(got, st.metaDeltas) {
+			t.Fatalf("MetaDeltas = %q, replayLog %q", got, st.metaDeltas)
+		}
+		if np := w.NextPage(); np != st.next {
+			t.Fatalf("NextPage = %d, replayLog %d", np, st.next)
+		}
+		ws := w.Stats()
+		if ws.RecoveredBytes != st.committed || ws.TruncatedOnOpen != int64(len(data))-st.committed ||
+			ws.ReplayedCommits != st.commits || ws.ReplayedExtents != st.extentsApplied {
+			t.Fatalf("open stats = %+v, replayLog %+v over %d bytes", ws, st.replayState, len(data))
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != st.committed {
+			t.Fatalf("segment after open: size %v, err %v; want truncated to %d", fi, err, st.committed)
 		}
 	})
 }

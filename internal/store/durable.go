@@ -11,17 +11,20 @@ import (
 )
 
 // Durable operation: when the page store sits on a durable backend (the
-// WAL), every Put/Update/Delete serializes the whole delta index — document
-// table, per-document version entries with their extent references — into
-// the backend's metadata blob and commits. The WAL makes extents and the
-// metadata snapshot atomic per commit, so a crash either keeps a mutation
-// entirely (extents + index) or discards it entirely; reopening with Open
-// rebuilds the in-memory store from the last committed snapshot.
+// segmented WAL), every Put/Update/Delete logs the mutated document's table
+// entry — its version entries with their extent references — as one metadata
+// delta record next to the extents it wrote, and commits. A full snapshot of
+// the whole document table is logged only by vacuum and stored in checkpoint
+// images; deltas apply on top of the last one. The WAL makes extents and
+// metadata atomic per commit, so a crash either keeps a mutation entirely
+// (extents + index) or discards it entirely; reopening with Open rebuilds the
+// in-memory store from the last committed snapshot plus the committed deltas
+// after it.
 //
-// The metadata snapshot is JSON: small next to the XML payloads it
-// references, human-inspectable when debugging a damaged log, and free of
-// schema machinery. Its cost is measured by the WAL's write-amplification
-// counters (see cmd/txbench).
+// Both records are JSON: small next to the XML payloads they reference,
+// human-inspectable when debugging a damaged log, and free of schema
+// machinery. Their cost is measured by the WAL's write-amplification counters
+// (see cmd/txbench).
 
 const metaFormat = 1
 
@@ -51,9 +54,8 @@ type metaVersion struct {
 }
 
 // metaDelta is one incremental metadata record: a full upsert of a single
-// document's table entry. Backends with delta support log one of these per
-// commit instead of the whole table; replay applies them in order on top of
-// the last full snapshot.
+// document's table entry. Every commit logs one of these instead of the whole
+// table; replay applies them in order on top of the last full snapshot.
 type metaDelta struct {
 	Format  int     `json:"format"`
 	NextDoc int64   `json:"nextDoc"`

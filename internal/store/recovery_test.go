@@ -11,22 +11,6 @@ import (
 	"txmldb/internal/pagestore"
 )
 
-// durableStore opens a WAL-backed store in dir.
-func durableStore(t *testing.T, dir string, cfg Config) *Store {
-	t.Helper()
-	wal, err := pagestore.OpenWAL(filepath.Join(dir, "pages.wal"))
-	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
-	}
-	cfg.Pages.Backend = wal
-	s, err := Open(cfg)
-	if err != nil {
-		wal.Close()
-		t.Fatalf("Open: %v", err)
-	}
-	return s
-}
-
 // docImage is the byte-exact observable state of one document: every
 // version's serialized tree, in version order, plus liveness.
 type docImage struct {
@@ -68,11 +52,12 @@ func capture(t *testing.T, s *Store) map[string]docImage {
 // and full observable state at every commit, then simulate a crash at every
 // byte offset of the log — truncate a copy there, reopen, and require that
 // exactly the versions of the last whole commit reconstruct byte-identically
-// and that Fsck finds nothing wrong.
+// and that Fsck finds nothing wrong. The workload fits one segment, so the
+// active segment is the whole log.
 func TestCrashPointRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s := durableStore(t, dir, Config{SnapshotEvery: 2})
-	wal := s.Pages().Backend().(*pagestore.WAL)
+	s := segStore(t, dir, Config{SnapshotEvery: 2})
+	wal := s.Pages().Backend().(*pagestore.SegmentedWAL)
 
 	type golden struct {
 		offset int64
@@ -110,11 +95,14 @@ func TestCrashPointRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap()
+	if pos := wal.Pos(); pos.Seq != 1 {
+		t.Fatalf("test assumes a one-segment log, active segment is %d", pos.Seq)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	full, err := os.ReadFile(filepath.Join(dir, "pages.wal"))
+	full, err := os.ReadFile(filepath.Join(dir, pagestore.SegmentFileName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +121,13 @@ func TestCrashPointRecovery(t *testing.T) {
 				want = g
 			}
 		}
-		path := filepath.Join(crashDir, "pages.wal")
+		path := filepath.Join(crashDir, pagestore.SegmentFileName(1))
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wal, err := pagestore.OpenWAL(path)
+		wal, err := pagestore.OpenSegmentedWAL(pagestore.SegWALConfig{Dir: crashDir})
 		if err != nil {
-			t.Fatalf("cut=%d: OpenWAL: %v", cut, err)
+			t.Fatalf("cut=%d: OpenSegmentedWAL: %v", cut, err)
 		}
 		rs, err := Open(Config{Pages: pagestore.Config{Backend: wal}, SnapshotEvery: 2})
 		if err != nil {
@@ -161,7 +149,7 @@ func TestCrashPointRecovery(t *testing.T) {
 // its full history and accepts further writes that survive the next reopen.
 func TestDurableReopenContinuesWriting(t *testing.T) {
 	dir := t.TempDir()
-	s := durableStore(t, dir, Config{})
+	s := segStore(t, dir, Config{})
 	id, err := s.Put("guide.xml", guideV(map[string]string{"Napoli": "15"}), jan1)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +160,7 @@ func TestDurableReopenContinuesWriting(t *testing.T) {
 	before := capture(t, s)
 	s.Close()
 
-	r := durableStore(t, dir, Config{})
+	r := segStore(t, dir, Config{})
 	if got := capture(t, r); !reflect.DeepEqual(got, before) {
 		t.Fatalf("state after reopen differs:\ngot  %#v\nwant %#v", got, before)
 	}
@@ -193,7 +181,7 @@ func TestDurableReopenContinuesWriting(t *testing.T) {
 	after := capture(t, r)
 	r.Close()
 
-	r2 := durableStore(t, dir, Config{})
+	r2 := segStore(t, dir, Config{})
 	defer r2.Close()
 	if got := capture(t, r2); !reflect.DeepEqual(got, after) {
 		t.Fatalf("state after second reopen differs:\ngot  %#v\nwant %#v", got, after)
@@ -206,7 +194,7 @@ func TestDurableReopenContinuesWriting(t *testing.T) {
 // recovery error, and Fsck names the damage.
 func TestRecoveryWithLostCurrentSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s := durableStore(t, dir, Config{SnapshotEvery: 2})
+	s := segStore(t, dir, Config{SnapshotEvery: 2})
 	id, err := s.Put("guide.xml", guideV(map[string]string{"Napoli": "15"}), jan1)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +217,7 @@ func TestRecoveryWithLostCurrentSnapshot(t *testing.T) {
 
 	// Reopen with the current version's snapshot extent dropped (an
 	// unreadable sector discovered during recovery).
-	wal, err := pagestore.OpenWAL(filepath.Join(dir, "pages.wal"))
+	wal, err := pagestore.OpenSegmentedWAL(pagestore.SegWALConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +257,65 @@ func TestRecoveryWithLostCurrentSnapshot(t *testing.T) {
 	}
 	if !kinds["snapshot"] || !kinds["current"] {
 		t.Fatalf("fsck problems = %s, want snapshot and current kinds", rep)
+	}
+}
+
+// TestStagedCommitThroughInjector: a fault injector over the segmented WAL
+// is a full backend — commits take the staged path and log one per-document
+// metadata delta each (never a full-table snapshot), and a reopen through an
+// injector recovers the table from those deltas.
+func TestStagedCommitThroughInjector(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*Store, *pagestore.Injector) {
+		t.Helper()
+		wal, err := pagestore.OpenSegmentedWAL(pagestore.SegWALConfig{Dir: dir})
+		if err != nil {
+			t.Fatalf("OpenSegmentedWAL: %v", err)
+		}
+		inj := pagestore.NewInjector(wal, 1)
+		s, err := Open(Config{Pages: pagestore.Config{Backend: inj}})
+		if err != nil {
+			wal.Close()
+			t.Fatalf("Open: %v", err)
+		}
+		return s, inj
+	}
+	s, inj := open()
+	id, err := s.Put("guide.xml", guideV(map[string]string{"Napoli": "15"}), jan1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Update(id, guideV(map[string]string{"Napoli": "17"}), jan15); err != nil {
+		t.Fatal(err)
+	}
+	news, err := s.Put("news.xml", guideV(map[string]string{"Akropolis": "9"}), jan15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(news, jan31); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(inj.MetaDeltas()); got != 4 {
+		t.Fatalf("%d metadata deltas logged for 4 commits, want 4", got)
+	}
+	if m := inj.Meta(); m != nil {
+		t.Fatalf("a commit rewrote the full table (%d bytes); only vacuum may", len(m))
+	}
+	want := capture(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, rinj := open()
+	defer r.Close()
+	if got := len(rinj.MetaDeltas()); got != 4 {
+		t.Fatalf("%d metadata deltas recovered through the injector, want 4", got)
+	}
+	if got := capture(t, r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("state after reopen differs:\ngot  %#v\nwant %#v", got, want)
+	}
+	if _, _, err := r.Update(id, guideV(map[string]string{"Napoli": "18"}), jan31); err != nil {
+		t.Fatalf("Update after reopen: %v", err)
 	}
 }
 

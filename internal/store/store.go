@@ -148,13 +148,6 @@ type Store struct {
 	// proceed to their durability point.
 	pendingNames map[string]bool
 
-	// legacy selects the original fully-serialized write path for durable
-	// backends without metadata-delta support (single-file WAL, fault
-	// injector): their persistence rewrites the whole document table per
-	// commit, which cannot tolerate interleaved writers, and their crash
-	// tests rely on every record of a mutation preceding its commit marker.
-	legacy bool
-
 	// jmu guards jrnd: retry-backoff jitter is drawn concurrently by
 	// readers that only hold s.mu.RLock.
 	jmu  sync.Mutex
@@ -172,7 +165,7 @@ func New(cfg Config) *Store {
 	if seed == 0 {
 		seed = 1
 	}
-	s := &Store{
+	return &Store{
 		cfg:          cfg,
 		pages:        pagestore.New(cfg.Pages),
 		docs:         make(map[model.DocID]*docEntry),
@@ -181,11 +174,6 @@ func New(cfg Config) *Store {
 		pendingNames: make(map[string]bool),
 		jrnd:         rand.New(rand.NewSource(seed)),
 	}
-	if s.pages.Durable() {
-		_, deltaMeta := s.pages.Backend().(pagestore.DeltaMetaBackend)
-		s.legacy = !deltaMeta
-	}
-	return s
 }
 
 // Resilience returns the resilience tier the store feeds, nil when
@@ -356,13 +344,9 @@ func (s *Store) persistLocked() error {
 // entry is private to the calling writer; no lock is held across the
 // fsync, which is the whole point of the concurrent write path.
 //
-// On backends with metadata-delta support the record is a single-document
-// upsert — O(doc) per commit, and commutative across concurrently staged
-// documents, which is what lets writers interleave inside one WAL batch.
-// Durable backends without delta support rewrite the full table (the
-// staged entry substituted in); those stores run in legacy mode, where
-// s.wlegacy has already serialized whole mutations, so the snapshot
-// cannot lose a concurrent writer's update.
+// The metadata record is a single-document upsert — O(doc) per commit, and
+// commutative across concurrently staged documents, which is what lets
+// writers interleave inside one WAL batch.
 func (s *Store) persistStaged(staged *docEntry) (bool, error) {
 	if !s.pages.Durable() {
 		return false, nil
@@ -374,43 +358,13 @@ func (s *Store) persistStaged(staged *docEntry) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("store: serialize meta delta: %w", err)
 	}
-	ok, err := s.pages.SetMetaDelta(delta)
-	if err != nil {
+	if err := s.pages.SetMetaDelta(delta); err != nil {
 		return false, fmt.Errorf("store: persist meta delta: %w", err)
-	}
-	if !ok {
-		return false, fmt.Errorf("store: backend lost metadata-delta support mid-run")
 	}
 	if err := s.pages.Commit(); err != nil {
 		return false, fmt.Errorf("store: commit: %w", err)
 	}
 	return true, nil
-}
-
-// persistDocLocked makes a single-document mutation durable on the legacy
-// write path. On backends with metadata-delta support it logs only the
-// touched document's table entry and falls back to the full persistLocked
-// snapshot otherwise. Callers hold s.mu.
-func (s *Store) persistDocLocked(d *docEntry) error {
-	if !s.pages.Durable() {
-		return nil
-	}
-	delta, err := marshalDocDelta(d, int64(s.nextDoc))
-	if err != nil {
-		return fmt.Errorf("store: serialize meta delta: %w", err)
-	}
-	ok, err := s.pages.SetMetaDelta(delta)
-	if err != nil {
-		return fmt.Errorf("store: persist meta delta: %w", err)
-	}
-	if !ok {
-		return s.persistLocked()
-	}
-	if err := s.pages.Commit(); err != nil {
-		return fmt.Errorf("store: commit: %w", err)
-	}
-	s.ckptCommits++
-	return nil
 }
 
 // CommitsSinceCheckpoint reports how many durable commits happened since
@@ -442,9 +396,6 @@ func (s *Store) NoteCheckpoint() {
 func (s *Store) Put(name string, tree *xmltree.Node, t model.Time) (model.DocID, error) {
 	if err := tree.Validate(); err != nil {
 		return 0, fmt.Errorf("store: put %q: %w", name, err)
-	}
-	if s.legacy {
-		return s.putLegacy(name, tree, t)
 	}
 	s.mu.Lock()
 	if prev, ok := s.byName[name]; ok {
@@ -504,49 +455,6 @@ func (s *Store) Put(name string, tree *xmltree.Node, t model.Time) (model.DocID,
 	return id, nil
 }
 
-// putLegacy is Put on the fully-serialized legacy path: the whole mutation
-// — in-memory change, persistence, fsync — under s.mu.Lock, exactly the
-// pre-group-commit behaviour legacy backends' crash-offset tests pin down.
-func (s *Store) putLegacy(name string, tree *xmltree.Node, t model.Time) (model.DocID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.byName[name]; ok {
-		if s.docs[prev].deleted == model.Forever {
-			return 0, fmt.Errorf("%w: %q", ErrExists, name)
-		}
-	}
-	s.nextDoc++
-	id := s.nextDoc
-	d := &docEntry{
-		id:      id,
-		name:    name,
-		created: t,
-		deleted: model.Forever,
-	}
-	diff.AssignXIDs(tree, d.allocXID, t)
-	d.rootXID = tree.XID
-	d.cur = tree.Clone()
-	ref, err := s.pages.Write(int(id), xmltree.Marshal(d.cur))
-	if err != nil {
-		s.nextDoc--
-		return 0, fmt.Errorf("store: put %q: %w", name, err)
-	}
-	d.versions = []VersionInfo{{Ver: 1, Stamp: t, End: model.Forever, Snapshot: ref}}
-	s.docs[id] = d
-	s.byName[name] = id
-	if err := s.persistDocLocked(d); err != nil {
-		return 0, fmt.Errorf("store: put %q: %w", name, err)
-	}
-	s.epoch++
-	d.versions[0].Epoch = s.epoch
-	return id, nil
-}
-
-func (d *docEntry) allocXID() model.XID {
-	d.nextXID++
-	return d.nextXID
-}
-
 // Update stores tree as the next version of the document at time t. The
 // tree is annotated in place with XIDs (persistent for matched elements,
 // fresh for new ones). It returns the new version number and the completed
@@ -561,9 +469,6 @@ func (d *docEntry) allocXID() model.XID {
 func (s *Store) Update(id model.DocID, tree *xmltree.Node, t model.Time) (model.VersionNo, *diff.Script, error) {
 	if err := tree.Validate(); err != nil {
 		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
-	}
-	if s.legacy {
-		return s.updateLegacy(id, tree, t)
 	}
 	s.mu.RLock()
 	d, ok := s.docs[id]
@@ -668,63 +573,6 @@ func (s *Store) Update(id model.DocID, tree *xmltree.Node, t model.Time) (model.
 	return newVer, script, nil
 }
 
-// updateLegacy is Update on the fully-serialized legacy path; see putLegacy.
-func (s *Store) updateLegacy(id model.DocID, tree *xmltree.Node, t model.Time) (model.VersionNo, *diff.Script, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.docs[id]
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	if d.deleted != model.Forever {
-		return 0, nil, fmt.Errorf("%w: %d", ErrDeleted, id)
-	}
-	if d.cur == nil {
-		return 0, nil, fmt.Errorf("store: update %d: current version unavailable: %w", id, d.curErr)
-	}
-	cur := d.curInfo()
-	if t <= cur.Stamp {
-		return 0, nil, fmt.Errorf("%w: %s <= %s", ErrStale, t, cur.Stamp)
-	}
-	newVer := cur.Ver + 1
-	script, annotated, err := diff.Diff(d.cur, tree, diff.Options{
-		Alloc:     d.allocXID,
-		Stamp:     t,
-		FromStamp: cur.Stamp,
-		FromVer:   cur.Ver,
-		ToVer:     newVer,
-	})
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
-	}
-	// Store the completed delta as its own XML document (Section 7.1).
-	deltaRef, err := s.pages.Write(int(id), xmltree.Marshal(script.ToXML()))
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
-	}
-	cur.DeltaToNext = deltaRef
-	cur.End = t
-	// The previous "current" full version is dropped unless it is a
-	// snapshot version: the chain of completed deltas replaces it.
-	if !s.isSnapshotVersion(cur.Ver) {
-		s.pages.Free(cur.Snapshot)
-		cur.Snapshot = pagestore.Ref{}
-	}
-	d.cur = annotated
-	newInfo := VersionInfo{Ver: newVer, Stamp: t, End: model.Forever}
-	newInfo.Snapshot, err = s.pages.Write(int(id), xmltree.Marshal(d.cur))
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
-	}
-	d.versions = append(d.versions, newInfo)
-	if err := s.persistDocLocked(d); err != nil {
-		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
-	}
-	s.epoch++
-	d.versions[len(d.versions)-1].Epoch = s.epoch
-	return newVer, script, nil
-}
-
 // isSnapshotVersion reports whether full serializations of version v are
 // retained after it stops being current.
 func (s *Store) isSnapshotVersion(v model.VersionNo) bool {
@@ -736,9 +584,6 @@ func (s *Store) isSnapshotVersion(v model.VersionNo) bool {
 // point, and publishes under a fresh epoch, so a pinned reader whose pin
 // precedes the deletion still sees the document live.
 func (s *Store) Delete(id model.DocID, t model.Time) error {
-	if s.legacy {
-		return s.deleteLegacy(id, t)
-	}
 	s.mu.RLock()
 	d, ok := s.docs[id]
 	s.mu.RUnlock()
@@ -775,31 +620,6 @@ func (s *Store) Delete(id model.DocID, t model.Time) error {
 		s.ckptCommits++
 	}
 	s.mu.Unlock()
-	return nil
-}
-
-// deleteLegacy is Delete on the fully-serialized legacy path; see putLegacy.
-func (s *Store) deleteLegacy(id model.DocID, t model.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.docs[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	if d.deleted != model.Forever {
-		return fmt.Errorf("%w: %d", ErrDeleted, id)
-	}
-	cur := d.curInfo()
-	if t <= cur.Stamp {
-		return fmt.Errorf("%w: delete at %s <= %s", ErrStale, t, cur.Stamp)
-	}
-	d.deleted = t
-	cur.End = t
-	if err := s.persistDocLocked(d); err != nil {
-		return fmt.Errorf("store: delete %d: %w", id, err)
-	}
-	s.epoch++
-	d.deletedEpoch = s.epoch
 	return nil
 }
 
