@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"txmldb"
-	"txmldb/internal/experiments"
 	"txmldb/internal/model"
 	"txmldb/internal/tdocgen"
 )
@@ -147,11 +146,11 @@ func openDB(dataDir string, demo bool, cacheBytes int64, workers int, resil bool
 // loadDemo plays the Figure 1 history into db, skipping documents already
 // present (a durable demo directory being reopened).
 func loadDemo(db *txmldb.DB) error {
-	if _, ok := db.LookupDoc(experiments.Figure1URL); ok {
+	if _, ok := db.LookupDoc(tdocgen.Figure1URL); ok {
 		fmt.Fprintln(os.Stderr, "demo data already present")
 		return nil
 	}
-	return experiments.Figure1Load(db)
+	return tdocgen.LoadFigure1(db)
 }
 
 // runFsck implements the fsck subcommand: replay the write-ahead log under

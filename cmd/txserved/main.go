@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"txmldb"
-	"txmldb/internal/experiments"
 	"txmldb/internal/model"
 	"txmldb/internal/server"
 	"txmldb/internal/tdocgen"
@@ -96,8 +95,8 @@ func main() {
 	}
 
 	if *demo {
-		if _, ok := db.LookupDoc(experiments.Figure1URL); !ok {
-			if err := experiments.Figure1Load(db); err != nil {
+		if _, ok := db.LookupDoc(tdocgen.Figure1URL); !ok {
+			if err := tdocgen.LoadFigure1(db); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -12,9 +12,8 @@
 //     faults come and go,
 //
 // plus a crash-and-reopen torture loop (CrashAndReopen) composing WAL
-// recovery with the tier. The same campaign backs the chaos tests, the
-// CI smoke step and the R1 experiment in cmd/txbench, so a failure
-// reproduces from its seed.
+// recovery with the tier. The same campaign backs the chaos tests and
+// the CI smoke step, so a failure reproduces from its seed.
 package chaos
 
 import (

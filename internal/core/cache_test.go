@@ -115,6 +115,46 @@ func TestCacheInvalidationOnDelete(t *testing.T) {
 	}
 }
 
+// TestCacheWarmHitReadsNoExtents: once a historical version is cached,
+// reconstructing it again is one exact vcache hit and touches no extent —
+// the cache absorbs the delta replay itself, not just the page reads.
+func TestCacheWarmHitReadsNoExtents(t *testing.T) {
+	db := cachedDB()
+	id, err := db.Put("d", docV(1), model.Date(2001, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 2; n <= 20; n++ {
+		if _, _, err := db.Update(id, docV(n), model.Date(2001, 1, 1)+model.Time(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const target = model.VersionNo(4)
+	db.Store().Pages().ResetStats()
+	if _, err := db.ReconstructVersion(id, target); err != nil {
+		t.Fatal(err)
+	}
+	if cold := db.IOStats().ExtentRead; cold == 0 {
+		t.Fatal("cold reconstruction read no extents; the warm check below would prove nothing")
+	}
+	before, _ := db.CacheStats()
+	db.Store().Pages().ResetStats()
+	vt, err := db.ReconstructVersion(id, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vt.Root.Text(); got != "s4" {
+		t.Fatalf("warm v%d content = %q, want s4", target, got)
+	}
+	if reads := db.IOStats().ExtentRead; reads != 0 {
+		t.Errorf("warm reconstruction read %d extents, want 0", reads)
+	}
+	after, _ := db.CacheStats()
+	if hits := after.Hits - before.Hits; hits != 1 {
+		t.Errorf("warm reconstruction: %d vcache hits, want 1", hits)
+	}
+}
+
 // TestCachedOperatorsMatchUncached runs the reconstruction-based operators
 // against two databases loaded identically — cache on and cache off — and
 // requires identical answers.

@@ -7,6 +7,7 @@ import (
 	"txmldb/internal/model"
 	"txmldb/internal/pattern"
 	"txmldb/internal/plan"
+	"txmldb/internal/tdocgen"
 	"txmldb/internal/xmltree"
 )
 
@@ -18,7 +19,7 @@ var (
 	feb10 = model.Date(2001, 2, 10)
 )
 
-const guideURL = "http://guide.com/restaurants.xml"
+const guideURL = tdocgen.Figure1URL
 
 func guide(entries ...[2]string) *xmltree.Node {
 	g := xmltree.NewElement("guide")
@@ -30,25 +31,18 @@ func guide(entries ...[2]string) *xmltree.Node {
 	return g
 }
 
-// openFigure1 loads the paper's Figure 1 history: the restaurant list at
-// guide.com as retrieved on January 1st (Napoli/15), January 15th
-// (Napoli/15 + Akropolis/13) and January 31st (Napoli/18).
+// openFigure1 loads the paper's Figure 1 history (tdocgen.LoadFigure1)
+// into a database whose clock defaults to feb10.
 func openFigure1(t testing.TB, cfg Config) (*DB, model.DocID) {
 	t.Helper()
 	if cfg.Clock == nil {
 		cfg.Clock = func() model.Time { return feb10 }
 	}
 	db := Open(cfg)
-	id, err := db.Put(guideURL, guide([2]string{"Napoli", "15"}), jan1)
-	if err != nil {
+	if err := tdocgen.LoadFigure1(db); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Update(id, guide([2]string{"Napoli", "15"}, [2]string{"Akropolis", "13"}), jan15); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.Update(id, guide([2]string{"Napoli", "18"}), jan31); err != nil {
-		t.Fatal(err)
-	}
+	id, _ := db.LookupDoc(guideURL)
 	return db, id
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"txmldb/internal/model"
+	"txmldb/internal/tdocgen"
 )
 
 // appendGarbage simulates a torn final write: random non-frame bytes after
@@ -37,14 +38,7 @@ func durableFigure1(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	id, err := db.Put(guideURL, guide([2]string{"Napoli", "15"}), jan1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.Update(id, guide([2]string{"Napoli", "15"}, [2]string{"Akropolis", "13"}), jan15); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.Update(id, guide([2]string{"Napoli", "18"}), jan31); err != nil {
+	if err := tdocgen.LoadFigure1(db); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

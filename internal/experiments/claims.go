@@ -524,24 +524,3 @@ func C10(versionCounts []int) (Table, error) {
 	t.Verdict = "live postings stay flat while the history list grows; the live-set lookup's cost tracks the former, the scan's the latter"
 	return t, nil
 }
-
-// All runs every claim experiment in order.
-func All() ([]Table, error) {
-	var out []Table
-	runs := []func() (Table, error){
-		func() (Table, error) { return C1([]int{4, 16, 64}) },
-		C2, C3, C4, C5, C6,
-		func() (Table, error) { return C7([]int{8, 32, 128}) },
-		C8, C9,
-		func() (Table, error) { return C10([]int{8, 32, 128}) },
-		C11,
-	}
-	for _, run := range runs {
-		tbl, err := run()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}

@@ -1,12 +1,10 @@
 // Package experiments implements the reproduction experiments indexed in
 // DESIGN.md and reported in EXPERIMENTS.md. The paper contains no
 // empirical tables — its evaluation is analytical — so each experiment
-// here turns one analytical claim (C1–C9) into a measurement, plus F1,
-// the exact reproduction of Figure 1 and queries Q1–Q3.
-//
-// The same setup code backs the root-level testing.B benchmarks and the
-// cmd/txbench table printer, so the numbers in EXPERIMENTS.md are
-// regenerable with either tool.
+// here turns one analytical claim (C1–C10) into a measurement, plus F1,
+// the exact reproduction of Figure 1 and queries Q1–Q3. cmd/txbench
+// prints the tables. Performance of the system as a whole is measured by
+// the repo benchmark (bench/, BENCHMARK.json), not here.
 package experiments
 
 import (

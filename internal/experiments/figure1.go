@@ -5,61 +5,10 @@ import (
 	"strings"
 
 	"txmldb/internal/core"
-	"txmldb/internal/diff"
 	"txmldb/internal/model"
 	"txmldb/internal/plan"
-	"txmldb/internal/xmltree"
+	"txmldb/internal/tdocgen"
 )
-
-// Figure1URL is the document name of the paper's running example.
-const Figure1URL = "http://guide.com/restaurants.xml"
-
-// Figure1DB loads the paper's Figure 1 history: the restaurant list at
-// guide.com as retrieved on January 1st (Napoli 15), January 15th
-// (Napoli 15, Akropolis 13) and January 31st (Napoli 18).
-func Figure1DB(cfg core.Config) (*core.DB, model.DocID, error) {
-	if cfg.Clock == nil {
-		cfg.Clock = func() model.Time { return model.Date(2001, 2, 10) }
-	}
-	db := core.Open(cfg)
-	if err := Figure1Load(db); err != nil {
-		return nil, 0, err
-	}
-	id, _ := db.LookupDoc(Figure1URL)
-	return db, id, nil
-}
-
-// Figure1Loader is the write surface Figure1Load needs. *core.DB and the
-// sharded router both satisfy it.
-type Figure1Loader interface {
-	Put(url string, root *xmltree.Node, t model.Time) (model.DocID, error)
-	Update(id model.DocID, root *xmltree.Node, t model.Time) (model.VersionNo, *diff.Script, error)
-}
-
-// Figure1Load plays the Figure 1 history into an already-open database
-// (in-memory, durable or sharded).
-func Figure1Load(db Figure1Loader) error {
-	mk := func(entries ...[2]string) *xmltree.Node {
-		g := xmltree.NewElement("guide")
-		for _, e := range entries {
-			g.AppendChild(xmltree.Elem("restaurant",
-				xmltree.ElemText("name", e[0]),
-				xmltree.ElemText("price", e[1])))
-		}
-		return g
-	}
-	id, err := db.Put(Figure1URL, mk([2]string{"Napoli", "15"}), model.Date(2001, 1, 1))
-	if err != nil {
-		return err
-	}
-	if _, _, err := db.Update(id, mk([2]string{"Napoli", "15"}, [2]string{"Akropolis", "13"}), model.Date(2001, 1, 15)); err != nil {
-		return err
-	}
-	if _, _, err := db.Update(id, mk([2]string{"Napoli", "18"}), model.Date(2001, 1, 31)); err != nil {
-		return err
-	}
-	return nil
-}
 
 // F1 reproduces Figure 1 and the example queries Q1–Q3 of Section 6.2 and
 // checks every output against the paper's stated result.
@@ -70,8 +19,8 @@ func F1() (Table, error) {
 		Claim:   "the operator pipeline produces exactly the results the paper describes for its running example",
 		Columns: []string{"query", "operators", "expected", "got", "ok"},
 	}
-	db, _, err := Figure1DB(core.Config{})
-	if err != nil {
+	db := core.Open(core.Config{Clock: func() model.Time { return model.Date(2001, 2, 10) }})
+	if err := tdocgen.LoadFigure1(db); err != nil {
 		return t, err
 	}
 

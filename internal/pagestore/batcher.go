@@ -39,7 +39,7 @@ func (e *GroupCommitError) Unwrap() error { return e.Err }
 func (e *GroupCommitError) Is(target error) bool { return target == ErrGroupCommit }
 
 // GroupStats counts the batcher's amortization behaviour. Commits/Batches
-// is the fsync amortization factor the W2 experiment reports.
+// is the fsync amortization factor (txserved_commit_batch_* on /metrics).
 type GroupStats struct {
 	Commits  int64 // Commit calls routed through the batcher
 	Batches  int64 // shared fsyncs issued (one per sealed batch)

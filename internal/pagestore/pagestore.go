@@ -74,17 +74,6 @@ type Config struct {
 	// in-memory backend. Pass a segmented WAL (OpenSegmentedWAL) for
 	// durability, or a fault injector (NewInjector) for failure testing.
 	Backend Backend
-	// SeekLatency and PageLatency turn the cost model of IOStats.CostMs
-	// into physical time: a read that misses the buffer pool sleeps
-	// SeekLatency once per seek plus PageLatency per page transferred.
-	// The sleep happens after the store's mutex is released, so concurrent
-	// readers overlap their device waits the way requests overlap on a
-	// real multi-queue disk — this is what the parallel execution tier's
-	// speedup experiments (P1) measure. Zero (the default) keeps reads
-	// instantaneous, as all earlier experiments assume.
-	SeekLatency time.Duration
-	// PageLatency is the simulated transfer time per page; see SeekLatency.
-	PageLatency time.Duration
 	// GroupWindow enables WAL group commit: Commit calls collect for up to
 	// this window (or until GroupMaxBatch of them wait) and share one
 	// backend Commit, so one fsync is amortized across the batch. Each
@@ -261,7 +250,7 @@ func (s *Store) Write(group int, data []byte) (Ref, error) {
 		Pages: pages,
 		Sum:   Checksum(data),
 	}
-	//txvet:ignore lockhold backend Put is an in-memory/WAL-buffer append; modeled device latency is charged outside s.mu
+	//txvet:ignore lockhold backend Put is an in-memory/WAL-buffer append; the allocation cursor and the put must stay atomic under s.mu
 	if err := s.backend.Put(start, ext); err != nil {
 		return Ref{}, fmt.Errorf("pagestore: write at page %d: %w", start, err)
 	}
@@ -277,19 +266,6 @@ func (s *Store) Read(ref Ref) ([]byte, error) {
 	if ref.Zero() {
 		return nil, ErrZeroRef
 	}
-	data, wait, err := s.readLocked(ref)
-	if wait > 0 {
-		// Simulated device time is paid outside the mutex: concurrent
-		// readers overlap their waits, exactly what the parallel tier's
-		// multi-document fan-out exploits.
-		time.Sleep(wait)
-	}
-	return data, err
-}
-
-// readLocked performs the read under the store mutex and returns the
-// simulated device latency the caller must pay after release.
-func (s *Store) readLocked(ref Ref) ([]byte, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cache != nil {
@@ -300,37 +276,34 @@ func (s *Store) readLocked(ref Ref) ([]byte, time.Duration, error) {
 				s.cache.drop(ref.Start)
 			} else {
 				s.stats.CacheHits++
-				return ext.Data, 0, nil
+				return ext.Data, nil
 			}
 		}
 		s.stats.CacheMisses++
 	}
-	//txvet:ignore lockhold backend Get is an in-memory lookup; the simulated device wait is returned and paid by Read after release
+	//txvet:ignore lockhold backend Get is an in-memory lookup; the limbo fallback, head position and buffer pool must stay consistent with it under s.mu
 	ext, err := s.backend.Get(ref.Start)
 	if err != nil {
 		if lext, ok := s.limbo[ref.Start]; ok {
 			// Logged free, not yet published: still readable.
 			ext = lext
 		} else {
-			return nil, 0, fmt.Errorf("pagestore: read of extent at page %d: %w", ref.Start, err)
+			return nil, fmt.Errorf("pagestore: read of extent at page %d: %w", ref.Start, err)
 		}
 	}
 	if err := verify(ref, ext); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var wait time.Duration
 	if dist := ref.Start - s.lastPos; dist < -s.cfg.NearDistance || dist > s.cfg.NearDistance {
 		s.stats.Seeks++
-		wait += s.cfg.SeekLatency
 	}
 	s.stats.PageReads += int64(ref.Pages)
 	s.stats.ExtentRead++
-	wait += time.Duration(ref.Pages) * s.cfg.PageLatency
 	s.lastPos = ref.Start + int64(ref.Pages)
 	if s.cache != nil {
 		s.stats.CacheEvictions += int64(s.cache.put(ref.Start, ext, int(ref.Pages)))
 	}
-	return ext.Data, wait, nil
+	return ext.Data, nil
 }
 
 // verify checks the extent's payload against its write-time checksum.

@@ -18,32 +18,14 @@ import (
 	"txmldb"
 	"txmldb/internal/core"
 	"txmldb/internal/model"
-	"txmldb/internal/xmltree"
+	"txmldb/internal/tdocgen"
 )
 
-// figure1DB loads the paper's Figure 1 restaurant history. (Local copy of
-// experiments.Figure1DB: the experiments package imports this one for the
-// S1 serving benchmark, so in-package tests cannot import it back.)
+// figure1DB loads the paper's Figure 1 restaurant history.
 func figure1DB(tb testing.TB) *core.DB {
 	tb.Helper()
 	db := core.Open(core.Config{Clock: func() model.Time { return model.Date(2001, 2, 10) }})
-	mk := func(entries ...[2]string) *xmltree.Node {
-		g := xmltree.NewElement("guide")
-		for _, e := range entries {
-			g.AppendChild(xmltree.Elem("restaurant",
-				xmltree.ElemText("name", e[0]),
-				xmltree.ElemText("price", e[1])))
-		}
-		return g
-	}
-	id, err := db.Put("http://guide.com/restaurants.xml", mk([2]string{"Napoli", "15"}), model.Date(2001, 1, 1))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, _, err := db.Update(id, mk([2]string{"Napoli", "15"}, [2]string{"Akropolis", "13"}), model.Date(2001, 1, 15)); err != nil {
-		tb.Fatal(err)
-	}
-	if _, _, err := db.Update(id, mk([2]string{"Napoli", "18"}), model.Date(2001, 1, 31)); err != nil {
+	if err := tdocgen.LoadFigure1(db); err != nil {
 		tb.Fatal(err)
 	}
 	return db

@@ -24,7 +24,7 @@ import (
 // Both records are JSON: small next to the XML payloads they reference,
 // human-inspectable when debugging a damaged log, and free of schema
 // machinery. Their cost is measured by the WAL's write-amplification counters
-// (see cmd/txbench).
+// (the ingest-durable workload's pagestore.write_amp in bench/).
 
 const metaFormat = 1
 
