@@ -123,6 +123,7 @@ func (db *DB) historyChunk(ctx context.Context, id model.DocID, versions []store
 		return nil, err
 	}
 	tree := vt.Root // owned: ReconstructVersionContext returns a private tree
+	ap := diff.NewApplier(tree)
 	out := make([]store.VersionTree, 0, hi-lo+1)
 	for i := hi; i >= lo; i-- {
 		out = append(out, store.VersionTree{Info: versions[i], Root: tree.Clone()})
@@ -131,7 +132,7 @@ func (db *DB) historyChunk(ctx context.Context, id model.DocID, versions []store
 			if err != nil {
 				return nil, err
 			}
-			if err := diff.Apply(tree, script.Invert()); err != nil {
+			if err := ap.Apply(script.Invert()); err != nil {
 				return nil, err
 			}
 		}

@@ -292,6 +292,34 @@ func TestFromXMLErrors(t *testing.T) {
 	}
 }
 
+// TestFromXMLInsertPayloadIsOneNode: an insert carries exactly one child
+// node, element or text; mixed content must not silently pick the text.
+func TestFromXMLInsertPayloadIsOneNode(t *testing.T) {
+	const head = `<txdelta fromver="1" tover="2" fromstamp="0" tostamp="1">`
+	for _, bad := range []string{
+		`<insert parent="1" pos="0">text<a/></insert>`,
+		`<insert parent="1" pos="0"><a/>text</insert>`,
+		`<insert parent="1" pos="0"><a/><b/></insert>`,
+		`<insert parent="1" pos="0"></insert>`,
+	} {
+		if _, err := FromXML(xmltree.MustParse(head + bad + `</txdelta>`)); err == nil {
+			t.Errorf("FromXML accepted %s", bad)
+		}
+	}
+	for _, good := range []string{`<insert parent="1" pos="0">text</insert>`, `<insert parent="1" pos="0"><a>x</a></insert>`} {
+		root := xmltree.MustParse(head + good + `</txdelta>`)
+		want := root.Children[0].Children[0]
+		s, err := FromXML(root)
+		if err != nil {
+			t.Fatalf("FromXML(%s): %v", good, err)
+		}
+		// The payload is taken over from the consumed tree, not copied.
+		if got := s.Ops[0].Node; got != want || got.Parent != nil {
+			t.Errorf("FromXML(%s): payload not detached from its <insert>", good)
+		}
+	}
+}
+
 func TestApplyErrors(t *testing.T) {
 	root, _ := prepared(t, `<g><a/></g>`, 100)
 	cases := []Script{

@@ -147,15 +147,33 @@ func invertOp(op Op) Op {
 
 // Apply transforms the tree rooted at root in place by executing the script
 // forward. Applying an inverted script performs backward reconstruction.
-func Apply(root *xmltree.Node, s *Script) error {
-	idx := buildXIDIndex(root)
+func Apply(root *xmltree.Node, s *Script) error { return NewApplier(root).Apply(s) }
+
+// Applier applies a chain of scripts to one tree. It indexes the tree by
+// XID once, on the first Apply, and keeps the index current through the
+// inserts and deletes of every script, instead of re-indexing the whole
+// tree per delta. The tree must change only through the Applier while it
+// is in use.
+type Applier struct {
+	root *xmltree.Node
+	idx  map[model.XID]*xmltree.Node
+}
+
+// NewApplier returns an Applier for the tree rooted at root.
+func NewApplier(root *xmltree.Node) *Applier { return &Applier{root: root} }
+
+// Apply executes the script forward on the Applier's tree.
+func (a *Applier) Apply(s *Script) error {
+	if a.idx == nil {
+		a.idx = buildXIDIndex(a.root)
+	}
 	for i, op := range s.Ops {
-		if err := applyOp(root, op, idx); err != nil {
+		if err := applyOp(op, a.idx); err != nil {
 			return fmt.Errorf("diff: apply op %d (%s): %w", i, op.Kind, err)
 		}
 	}
 	for _, r := range s.Restamps {
-		if n := idx[r.XID]; n != nil {
+		if n := a.idx[r.XID]; n != nil {
 			n.Stamp = r.New
 		}
 	}
@@ -173,7 +191,7 @@ func buildXIDIndex(root *xmltree.Node) map[model.XID]*xmltree.Node {
 	return idx
 }
 
-func applyOp(root *xmltree.Node, op Op, idx map[model.XID]*xmltree.Node) error {
+func applyOp(op Op, idx map[model.XID]*xmltree.Node) error {
 	switch op.Kind {
 	case OpInsert:
 		parent := idx[op.Parent]
@@ -310,7 +328,9 @@ func attrsToXML(name string, attrs []xmltree.Attr) *xmltree.Node {
 	return e
 }
 
-// FromXML parses a <txdelta> tree produced by ToXML.
+// FromXML parses a <txdelta> tree produced by ToXML. It consumes root: the
+// insert and delete payloads are detached from it and become the ops'
+// Node, so the caller must not use root afterwards.
 func FromXML(root *xmltree.Node) (*Script, error) {
 	if root.Name != "txdelta" {
 		return nil, fmt.Errorf("diff: FromXML: root is <%s>, want <txdelta>", root.Name)
@@ -342,11 +362,10 @@ func FromXML(root *xmltree.Node) (*Script, error) {
 			if op.Pos, err = intAttr(e, "pos"); err != nil {
 				return nil, err
 			}
-			subs := e.ChildElements("")
-			if len(subs) != 1 && len(e.Children) != 1 {
-				return nil, fmt.Errorf("diff: FromXML: insert payload must be one node")
+			if len(e.Children) != 1 {
+				return nil, fmt.Errorf("diff: FromXML: insert payload must be one node, has %d", len(e.Children))
 			}
-			op.Node = e.Children[0].Clone()
+			op.Node = e.Children[0].Detach()
 			s.Ops = append(s.Ops, op)
 		case "delete":
 			op := Op{Kind: OpDelete}
@@ -360,7 +379,7 @@ func FromXML(root *xmltree.Node) (*Script, error) {
 				return nil, err
 			}
 			if len(e.Children) == 1 {
-				op.Node = e.Children[0].Clone()
+				op.Node = e.Children[0].Detach()
 			}
 			s.Ops = append(s.Ops, op)
 		case "update", "rename":

@@ -134,13 +134,14 @@ func (s *Store) reconstruct(ctx context.Context, d *docEntry, ver model.VersionN
 		return VersionTree{}, fmt.Errorf("store: doc %d: no snapshot at or after version %d", d.id, ver)
 	}
 	// Apply inverted deltas backwards: snapVer-1 → ... → ver.
+	ap := diff.NewApplier(tree)
 	for v := snapVer - 1; v >= ver; v-- {
 		script, err := s.readScript(ctx, d, v)
 		if err != nil {
 			return VersionTree{}, fmt.Errorf("%w: version %d of doc %d depends on delta %d→%d: %w",
 				ErrUnreachable, ver, d.id, v, v+1, err)
 		}
-		if err := diff.Apply(tree, script.Invert()); err != nil {
+		if err := ap.Apply(script.Invert()); err != nil {
 			return VersionTree{}, fmt.Errorf("store: applying inverse delta %d→%d: %w", v+1, v, err)
 		}
 	}
@@ -179,13 +180,14 @@ func (s *Store) ReconstructFromContext(ctx context.Context, id model.DocID, base
 		return VersionTree{}, fmt.Errorf("store: cannot replay doc %d forward from version %d to %d", d.id, from, to)
 	}
 	tree := base.Root.Clone()
+	ap := diff.NewApplier(tree)
 	for v := from; v < to; v++ {
 		script, err := s.readScript(ctx, d, v)
 		if err != nil {
 			return VersionTree{}, fmt.Errorf("%w: version %d of doc %d depends on delta %d→%d: %w",
 				ErrUnreachable, to, d.id, v, v+1, err)
 		}
-		if err := diff.Apply(tree, script); err != nil {
+		if err := ap.Apply(script); err != nil {
 			return VersionTree{}, fmt.Errorf("store: applying delta %d→%d: %w", v, v+1, err)
 		}
 	}
@@ -251,6 +253,7 @@ func (s *Store) DocHistoryContext(ctx context.Context, id model.DocID, iv model.
 		return nil, err
 	}
 	tree := vt.Root
+	ap := diff.NewApplier(tree)
 	for i := last; i >= 0 && d.infoAt(i, e).Interval().Overlaps(iv); i-- {
 		out = append(out, VersionTree{Info: d.infoAt(i, e), Root: tree.Clone()})
 		if i > 0 && d.versions[i-1].Pruned {
@@ -263,7 +266,7 @@ func (s *Store) DocHistoryContext(ctx context.Context, id model.DocID, iv model.
 			if err != nil {
 				return nil, err
 			}
-			if err := diff.Apply(tree, script.Invert()); err != nil {
+			if err := ap.Apply(script.Invert()); err != nil {
 				return nil, fmt.Errorf("store: history walk at version %d: %w", i, err)
 			}
 		}
