@@ -127,10 +127,13 @@ func (db *DB) Load(dir string) error {
 		if err != nil {
 			return fmt.Errorf("core: load: %w", err)
 		}
-		tree, err := xmltree.Unmarshal(data)
+		decoded, err := xmltree.Unmarshal(data)
 		if err != nil {
 			return fmt.Errorf("core: load: %s: %w", ev.file, err)
 		}
+		// The store keeps the tree as the current version; copy its
+		// strings out of the dump file's bytes.
+		tree := decoded.CloneOwned()
 		// Identity is re-derived on load: strip dumped XIDs and stamps.
 		tree.Walk(func(n *xmltree.Node) bool { n.XID = 0; n.Stamp = 0; return true })
 		live := false

@@ -222,7 +222,9 @@ func (s *Store) restoreMeta(meta []byte, deltas [][]byte) error {
 		} else if tree, err := xmltree.Unmarshal(data); err != nil {
 			d.curErr = fmt.Errorf("store: recover doc %d (%q): parsing current snapshot: %w", md.ID, md.Name, err)
 		} else {
-			d.cur = tree
+			// The current version lives as long as the store: give it
+			// its own strings rather than pin the decoded snapshot.
+			d.cur = tree.CloneOwned()
 		}
 		s.docs[d.id] = d
 		// The name table maps to the latest incarnation: later docs win.

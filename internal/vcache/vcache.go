@@ -43,7 +43,8 @@ import (
 // implements it. The context bounds the backend reads: retry backoff
 // aborts when it is canceled, and the store's circuit breaker may reject
 // reads fast while open — either way the error propagates to every
-// goroutine collapsed onto the flight and is never cached.
+// goroutine collapsed onto the flight and is never cached. Both methods
+// return a tree the caller owns.
 type Source interface {
 	// ReconstructVersionContext materializes one version from scratch
 	// (backward replay from the nearest snapshot at or after it).
@@ -207,9 +208,15 @@ func (c *Cache) GetContext(ctx context.Context, doc model.DocID, ver model.Versi
 		vt, err = c.src.ReconstructVersionContext(ctx, doc, ver)
 	}
 
+	// The cache and the waiters share an owned copy; the reconstructed
+	// tree itself is private to this call and goes to the leader.
+	var owned store.VersionTree
+	if err == nil {
+		owned = ownedTree(vt)
+	}
 	c.mu.Lock()
 	delete(c.flights, k)
-	f.vt, f.err = vt, err
+	f.vt, f.err = owned, err
 	if err == nil {
 		if usedAncestor {
 			c.stats.AncestorHits++
@@ -218,7 +225,7 @@ func (c *Cache) GetContext(ctx context.Context, doc model.DocID, ver model.Versi
 		// this document may have changed the validity interval carried in
 		// vt.Info between our snapshot of the generation and now.
 		if c.gens[doc] == gen {
-			c.insertLocked(k, vt)
+			c.insertLocked(k, owned)
 		}
 	}
 	c.mu.Unlock()
@@ -227,7 +234,7 @@ func (c *Cache) GetContext(ctx context.Context, doc model.DocID, ver model.Versi
 	if err != nil {
 		return store.VersionTree{}, err
 	}
-	return cloneTree(vt), nil
+	return vt, nil
 }
 
 // Add offers an already-materialized version to the cache (history walks
@@ -247,7 +254,7 @@ func (c *Cache) Add(doc model.DocID, vt store.VersionTree) {
 	}
 	c.mu.Unlock()
 	// Clone outside the lock — the caller owns vt and may mutate it later.
-	owned := cloneTree(vt)
+	owned := ownedTree(vt)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
@@ -357,4 +364,11 @@ func (c *Cache) removeLocked(el *list.Element) {
 
 func cloneTree(vt store.VersionTree) store.VersionTree {
 	return store.VersionTree{Info: vt.Info, Root: vt.Root.Clone()}
+}
+
+// ownedTree copies a tree for residence: reconstructed trees share their
+// strings with the decoded snapshot and deltas, which the byte budget
+// (DeepSize) does not count, so a cached copy takes its own.
+func ownedTree(vt store.VersionTree) store.VersionTree {
+	return store.VersionTree{Info: vt.Info, Root: vt.Root.CloneOwned()}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"txmldb/internal/model"
 	"txmldb/internal/store"
@@ -83,6 +84,57 @@ func TestGetCallerMutationIsolated(t *testing.T) {
 	}
 	got.Root.Children[0].Children[0].Value = "mangled"
 	wantVersion(t, s, id, c, 2) // served from cache; must still match the store
+}
+
+// TestCachedTreesOwnTheirStrings: reconstructed trees point into the
+// decoded snapshot and deltas, which the byte budget does not count. Both
+// fill paths must cache a copy that shares none of their bytes.
+func TestCachedTreesOwnTheirStrings(t *testing.T) {
+	s, id := versionedStore(t, 6, store.Config{})
+	c := New(s, Config{MaxBytes: 1 << 20})
+
+	got, err := c.Get(id, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, err := s.ReconstructVersion(id, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Add(id, added)
+	for _, tc := range []struct {
+		ver  model.VersionNo
+		from *xmltree.Node
+	}{{2, got.Root}, {4, added.Root}} {
+		c.mu.Lock()
+		el, ok := c.items[key{id, tc.ver}]
+		c.mu.Unlock()
+		if !ok {
+			t.Fatalf("version %d not resident", tc.ver)
+		}
+		if n := sharedStrings(el.Value.(*entry).vt.Root, tc.from); n != 0 {
+			t.Errorf("cached version %d shares %d strings with the reconstructed tree", tc.ver, n)
+		}
+	}
+}
+
+// sharedStrings counts the non-empty names, values and attribute strings
+// of two equal trees that point at the same bytes.
+func sharedStrings(a, b *xmltree.Node) int {
+	same := func(x, y string) int {
+		if x != "" && unsafe.StringData(x) == unsafe.StringData(y) {
+			return 1
+		}
+		return 0
+	}
+	n := same(a.Name, b.Name) + same(a.Value, b.Value)
+	for i := range a.Attrs {
+		n += same(a.Attrs[i].Name, b.Attrs[i].Name) + same(a.Attrs[i].Value, b.Attrs[i].Value)
+	}
+	for i := range a.Children {
+		n += sharedStrings(a.Children[i], b.Children[i])
+	}
+	return n
 }
 
 func TestNearestAncestorReplay(t *testing.T) {

@@ -301,8 +301,17 @@ func (n *Node) SelectPath(path string) []*Node {
 }
 
 // Clone returns a deep copy of the subtree rooted at n. The copy keeps
-// XIDs and timestamps and has a nil parent.
-func (n *Node) Clone() *Node {
+// XIDs and timestamps and has a nil parent. It shares its strings with n.
+func (n *Node) Clone() *Node { return n.clone(false) }
+
+// CloneOwned is Clone with a fresh copy of every name, value and attribute
+// string. A tree from Unmarshal points into the whole serialized document
+// (and a replayed tree into every delta of its chain); a tree that outlives
+// the request that decoded it should be a CloneOwned copy, so that it
+// retains only what DeepSize counts.
+func (n *Node) CloneOwned() *Node { return n.clone(true) }
+
+func (n *Node) clone(own bool) *Node {
 	cp := &Node{
 		Kind:  n.Kind,
 		Name:  n.Name,
@@ -310,11 +319,20 @@ func (n *Node) Clone() *Node {
 		XID:   n.XID,
 		Stamp: n.Stamp,
 	}
+	if own {
+		cp.Name, cp.Value = strings.Clone(n.Name), strings.Clone(n.Value)
+	}
 	if len(n.Attrs) > 0 {
 		cp.Attrs = append([]Attr(nil), n.Attrs...)
+		if own {
+			for i := range cp.Attrs {
+				cp.Attrs[i].Name = strings.Clone(cp.Attrs[i].Name)
+				cp.Attrs[i].Value = strings.Clone(cp.Attrs[i].Value)
+			}
+		}
 	}
 	for _, c := range n.Children {
-		cp.AppendChild(c.Clone())
+		cp.AppendChild(c.clone(own))
 	}
 	return cp
 }

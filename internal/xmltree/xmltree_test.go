@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"txmldb/internal/model"
 )
@@ -234,6 +235,45 @@ func TestCloneIndependence(t *testing.T) {
 	if err := cp.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCloneOwnedSharesNoBytes: Unmarshal's strings point into the decoded
+// document, Clone copies only their headers, and CloneOwned copies the
+// bytes, so an owned copy keeps nothing of the document alive.
+func TestCloneOwnedSharesNoBytes(t *testing.T) {
+	decoded, err := Unmarshal(Marshal(MustParse(restaurantXML)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sharedStrings(decoded, decoded.Clone()); n == 0 {
+		t.Fatal("Clone shares no strings; the check below proves nothing")
+	}
+	owned := decoded.CloneOwned()
+	if !Equal(decoded, owned) || owned.Validate() != nil {
+		t.Fatal("CloneOwned is not an equal, valid copy")
+	}
+	if n := sharedStrings(decoded, owned); n != 0 {
+		t.Fatalf("CloneOwned shares %d strings with the decoded tree", n)
+	}
+}
+
+// sharedStrings counts the non-empty names, values and attribute strings
+// of two equal trees that point at the same bytes.
+func sharedStrings(a, b *Node) int {
+	same := func(x, y string) int {
+		if x != "" && unsafe.StringData(x) == unsafe.StringData(y) {
+			return 1
+		}
+		return 0
+	}
+	n := same(a.Name, b.Name) + same(a.Value, b.Value)
+	for i := range a.Attrs {
+		n += same(a.Attrs[i].Name, b.Attrs[i].Name) + same(a.Attrs[i].Value, b.Attrs[i].Value)
+	}
+	for i := range a.Children {
+		n += sharedStrings(a.Children[i], b.Children[i])
+	}
+	return n
 }
 
 func TestEqualSemantics(t *testing.T) {
