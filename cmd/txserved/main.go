@@ -187,16 +187,13 @@ func runCheckpointer(ctx context.Context, db engine, every time.Duration) {
 }
 
 // engine is the common surface of *txmldb.DB and *txmldb.ShardedDB that
-// txserved drives: serving (server.New takes it as server.Engine via the
-// embedded methods), corpus loading, the background checkpointer and the
-// final close.
+// txserved drives: serving, corpus loading, the background checkpointer
+// and the final close.
 type engine interface {
-	QueryContext(ctx context.Context, src string) (*txmldb.Result, error)
-	Explain(src string) (string, error)
+	server.Engine
 	Put(url string, root *txmldb.Node, t txmldb.Time) (txmldb.DocID, error)
 	Update(id txmldb.DocID, root *txmldb.Node, t txmldb.Time) (txmldb.VersionNo, *txmldb.Script, error)
 	LookupDoc(url string) (txmldb.DocID, bool)
-	Docs() []txmldb.DocID
 	Checkpoint() (txmldb.CheckpointRunStats, error)
 	Close() error
 }

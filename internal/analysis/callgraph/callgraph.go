@@ -38,6 +38,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"txmldb/internal/analysis/load"
 )
@@ -288,11 +289,10 @@ func (g *Graph) devirtualize(from *Node, site token.Pos, recv types.Type, name s
 		if _, ok := t.Underlying().(*types.Interface); ok {
 			continue // interface-to-interface: the method node covers it
 		}
-		pt := types.NewPointer(t)
-		if !types.Implements(t, iface) && !types.Implements(pt, iface) {
+		if !implements(t, iface) {
 			continue
 		}
-		obj, _, _ := types.LookupFieldOrMethod(pt, true, pkgOf(t), name)
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, pkgOf(t), name)
 		m, ok := obj.(*types.Func)
 		if !ok {
 			continue
@@ -308,6 +308,49 @@ func (g *Graph) devirtualize(from *Node, site token.Pos, recv types.Type, name s
 		g.addEdge(from, g.node(m), site, true)
 		g.Stats.DevirtEdges++
 	}
+}
+
+// implements reports whether t or *t implements iface. Like node keys,
+// it must see through the loader's two type universes: an interface
+// declared in a package checked from source and mentioning that package's
+// own types (plan.Engine's PrefetchVersions takes plan.VersionKey) is
+// implemented by types whose packages saw it through export data, so the
+// method signatures are compared by their package-path-qualified strings
+// whenever go/types' identity check says no.
+func implements(t types.Type, iface *types.Interface) bool {
+	pt := types.NewPointer(t)
+	if types.Implements(t, iface) || types.Implements(pt, iface) {
+		return true
+	}
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(pt, true, m.Pkg(), m.Name())
+		fn, ok := obj.(*types.Func)
+		if !ok || sigKey(fn.Type()) != sigKey(m.Type()) {
+			return false
+		}
+	}
+	return true
+}
+
+// sigKey renders a method signature's parameter and result types, by
+// package path and without names, identically across type universes.
+func sigKey(t types.Type) string {
+	sig := t.(*types.Signature)
+	qual := func(p *types.Package) string { return p.Path() }
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteByte('(')
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), qual))
+			b.WriteByte(',')
+		}
+		b.WriteByte(')')
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }
 
 func pkgOf(t types.Type) *types.Package {

@@ -5,7 +5,11 @@
 // function outside any query path are the negatives.
 package core
 
-import "context"
+import (
+	"context"
+
+	"txmldb/internal/analysis/epochpin/testdata/src/plan"
+)
 
 type DB struct {
 	versions map[string][]int
@@ -14,6 +18,10 @@ type DB struct {
 func (db *DB) QueryContext(ctx context.Context) context.Context {
 	return ctx // the real one pins the epoch; the shape is what matters here
 }
+
+// Prefetch names the plan fixture's own type: DB implements plan.Engine
+// only when signatures are compared across type universes.
+func (db *DB) Prefetch([]plan.Key) bool { return false }
 
 // Snapshot is on the pinned query path (RunContext → Snapshot via the
 // Engine interface) and reads the live version list.

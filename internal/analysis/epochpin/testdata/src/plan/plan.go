@@ -9,11 +9,18 @@ package plan
 
 import "context"
 
+// Key is declared here and named by Engine, as plan.VersionKey is by the
+// real PrefetchVersions: the core fixture sees it through export data
+// while this package is checked from source, so devirtualizing Engine
+// must match signatures across the two type universes.
+type Key struct{ Doc string }
+
 // Engine is the interface the executor drives; the core fixture's DB
 // implements it.
 type Engine interface {
 	QueryContext(ctx context.Context) context.Context
 	Snapshot(doc string) []int
+	Prefetch(keys []Key) (ran bool)
 }
 
 // RunContext is a reachability root (exported Run* in a plan package).

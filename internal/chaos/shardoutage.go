@@ -251,7 +251,7 @@ func (c *soCampaign) pattern() *pattern.PNode {
 // router, so golden signatures and SUT signatures render identically.
 type scanEngine interface {
 	TPatternScanAll(p *pattern.PNode) ([]model.TEID, error)
-	ScanAll(p *pattern.PNode) ([]pattern.Match, error)
+	ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error)
 	ReconstructBatch(ctx context.Context, teids []model.TEID) ([]*xmltree.Node, error)
 }
 
@@ -276,7 +276,7 @@ func (c *soCampaign) scanSignature(db scanEngine) (string, error) {
 // matchSignature renders the raw ScanAll merge — index-only, the temporal
 // FTI lives in memory, so this must keep working with a dead backend.
 func (c *soCampaign) matchSignature(db scanEngine) (string, error) {
-	ms, err := db.ScanAll(c.pattern())
+	ms, err := db.ScanAllContext(context.Background(), c.pattern())
 	if err != nil {
 		return "", err
 	}

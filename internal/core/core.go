@@ -130,6 +130,8 @@ type DB struct {
 	openRep       OpenReport
 }
 
+var _ plan.Engine = (*DB)(nil)
+
 // Open creates an empty database.
 func Open(cfg Config) *DB {
 	attachTier(&cfg)
@@ -212,8 +214,8 @@ func (db *DB) Health() (resilience.Snapshot, bool) {
 	return db.res.Snapshot(), true
 }
 
-// DegradedMode implements plan.DegradedReporter: true while the tier is
-// serving cache-first with writes rejected.
+// DegradedMode implements plan.Engine: true while the tier is serving
+// cache-first with writes rejected.
 func (db *DB) DegradedMode() bool { return db.res.Degraded() }
 
 // RetryAfter suggests how long a caller rejected by the resilience tier
@@ -389,7 +391,8 @@ func (db *DB) Current(id model.DocID) (*xmltree.Node, store.VersionInfo, error) 
 // TPatternScan matches the pattern against the snapshot valid at time t
 // and returns the TEIDs of the projected elements.
 func (db *DB) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, error) {
-	ms, err := db.ScanT(p, t)
+	//txvet:ignore ctxflow context-free operator API; ScanTContext is the canonical path
+	ms, err := db.ScanTContext(context.Background(), p, t)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +403,8 @@ func (db *DB) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, error)
 // documents; each returned TEID is stamped with the start of the temporal
 // overlap of its match.
 func (db *DB) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := db.ScanAll(p)
+	//txvet:ignore ctxflow context-free operator API; ScanAllContext is the canonical path
+	ms, err := db.ScanAllContext(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +413,8 @@ func (db *DB) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
 
 // PatternScan matches against the current database state.
 func (db *DB) PatternScan(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := db.ScanCurrent(p)
+	//txvet:ignore ctxflow context-free operator API; ScanCurrentContext is the canonical path
+	ms, err := db.ScanCurrentContext(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -433,8 +438,8 @@ func teidsOf(ms []pattern.Match, p *pattern.PNode, stamp func(pattern.Match) mod
 	return out
 }
 
-// ScanTContext implements plan.ContextScanner: TPatternScan with the
-// per-document join on the shared worker pool, under the caller's context.
+// ScanTContext implements plan.Engine: TPatternScan with the per-document
+// join on the shared worker pool, under the caller's context.
 func (db *DB) ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) ([]pattern.Match, error) {
 	ms, err := pattern.ScanTPool(ctx, db.fti, p, t, db.pool)
 	if err != nil {
@@ -443,13 +448,7 @@ func (db *DB) ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) 
 	return db.clampMatches(ctx, ms), nil
 }
 
-// ScanT implements plan.Engine by delegating to ScanTContext.
-func (db *DB) ScanT(p *pattern.PNode, t model.Time) ([]pattern.Match, error) {
-	//txvet:ignore ctxflow context-free plan.Engine compatibility shim; executors use ScanTContext
-	return db.ScanTContext(context.Background(), p, t)
-}
-
-// ScanAllContext implements plan.ContextScanner: TPatternScanAll under the
+// ScanAllContext implements plan.Engine: TPatternScanAll under the
 // caller's context.
 func (db *DB) ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
 	ms, err := pattern.ScanAllPool(ctx, db.fti, p, db.pool)
@@ -459,26 +458,14 @@ func (db *DB) ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.M
 	return db.clampMatches(ctx, ms), nil
 }
 
-// ScanAll implements plan.Engine by delegating to ScanAllContext.
-func (db *DB) ScanAll(p *pattern.PNode) ([]pattern.Match, error) {
-	//txvet:ignore ctxflow context-free plan.Engine compatibility shim; executors use ScanAllContext
-	return db.ScanAllContext(context.Background(), p)
-}
-
-// ScanCurrentContext implements plan.ContextScanner: the non-temporal
-// PatternScan under the caller's context.
+// ScanCurrentContext implements plan.Engine: the non-temporal PatternScan
+// under the caller's context.
 func (db *DB) ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
 	ms, err := pattern.ScanCurrentPool(ctx, db.fti, p, db.pool)
 	if err != nil {
 		return nil, err
 	}
 	return db.clampMatches(ctx, ms), nil
-}
-
-// ScanCurrent implements plan.Engine by delegating to ScanCurrentContext.
-func (db *DB) ScanCurrent(p *pattern.PNode) ([]pattern.Match, error) {
-	//txvet:ignore ctxflow context-free plan.Engine compatibility shim; executors use ScanCurrentContext
-	return db.ScanCurrentContext(context.Background(), p)
 }
 
 // DocHistory returns all versions of the document valid in [from, to),
@@ -576,22 +563,23 @@ func (db *DB) ReconstructContext(ctx context.Context, teid model.TEID) (*xmltree
 	return n.Detach(), nil
 }
 
-// ReconstructVersion implements plan.Engine. With the cache enabled this
-// is the shared entry point that gives the plan executor, server, CLI and
-// operators exact hits, nearest-ancestor replays and singleflight
-// collapse transparently.
+// ReconstructVersion is the Reconstruct operator of Section 7.3.3 for a
+// whole document version: ReconstructVersionContext without a caller
+// context.
 func (db *DB) ReconstructVersion(id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
-	//txvet:ignore ctxflow context-free plan.Engine compatibility shim; executors use ReconstructVersionContext
+	//txvet:ignore ctxflow context-free operator API shim; ReconstructVersionContext is the canonical path
 	return db.ReconstructVersionContext(context.Background(), id, ver)
 }
 
-// ReconstructVersionContext implements plan.ContextReconstructor. Exact
-// cache hits never touch the backend, so cache-resident versions are
-// served even while the circuit breaker is open; a breaker-rejected
-// reconstruction of the *current* version falls back to the in-memory
-// current snapshot, which is complete by construction (Section 7.1 keeps
-// the current version whole). Anything else propagates the typed failure
-// fast.
+// ReconstructVersionContext implements plan.Engine. With the cache enabled
+// this is the shared entry point that gives the plan executor, server, CLI
+// and operators exact hits, nearest-ancestor replays and singleflight
+// collapse transparently. Exact cache hits never touch the backend, so
+// cache-resident versions are served even while the circuit breaker is
+// open; a breaker-rejected reconstruction of the *current* version falls
+// back to the in-memory current snapshot, which is complete by
+// construction (Section 7.1 keeps the current version whole). Anything
+// else propagates the typed failure fast.
 func (db *DB) ReconstructVersionContext(ctx context.Context, id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
 	_, pinnedRead := store.EpochOf(ctx)
 	var vt store.VersionTree
@@ -646,14 +634,15 @@ func (db *DB) PurgeCache() {
 // /metrics).
 func (db *DB) IOStats() pagestore.IOStats { return db.store.Pages().Stats() }
 
-// Versions implements plan.Engine.
+// Versions returns the document's delta index, one entry per version in
+// ascending order.
 func (db *DB) Versions(id model.DocID) ([]store.VersionInfo, error) {
 	return db.store.Versions(id)
 }
 
-// VersionsContext implements plan.ContextVersionLister: the version list
-// clamped to the epoch pin carried by ctx, so [EVERY] and interval
-// expansions inside a pinned query never select post-pin versions.
+// VersionsContext implements plan.Engine: the version list clamped to the
+// epoch pin carried by ctx, so [EVERY] and interval expansions inside a
+// pinned query never select post-pin versions.
 func (db *DB) VersionsContext(ctx context.Context, id model.DocID) ([]store.VersionInfo, error) {
 	return db.store.VersionsContext(ctx, id)
 }
@@ -758,43 +747,15 @@ func (db *DB) DiffContext(ctx context.Context, a, b model.TEID) (*xmltree.Node, 
 	if err != nil {
 		return nil, err
 	}
-	return db.DiffNodes(nodes[0], nodes[1])
+	return diff.Elements(nodes[0], nodes[1])
 }
 
-// DiffNodes implements plan.Engine: the edit script between two trees.
-func (db *DB) DiffNodes(a, b *xmltree.Node) (*xmltree.Node, error) {
-	old := a.Clone()
-	var maxX model.XID
-	old.Walk(func(n *xmltree.Node) bool {
-		if n.XID > maxX {
-			maxX = n.XID
-		}
-		return true
-	})
-	next := maxX
-	alloc := func() model.XID { next++; return next }
-	old.Walk(func(n *xmltree.Node) bool {
-		if n.XID == 0 {
-			n.XID = alloc()
-		}
-		return true
-	})
-	new := b.Clone()
-	new.Walk(func(n *xmltree.Node) bool { n.XID = 0; return true })
-	script, _, err := diff.Diff(old, new, diff.Options{
-		Alloc:     alloc,
-		FromStamp: a.Stamp,
-		Stamp:     b.Stamp,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return script.ToXML(), nil
-}
-
-// Query parses and executes a temporal query.
+// Query parses and executes a temporal query: QueryContext without a
+// caller context, so it pins the commit horizon and accounts degraded
+// serving exactly as the server's path does.
 func (db *DB) Query(src string) (*plan.Result, error) {
-	return plan.RunString(db, src)
+	//txvet:ignore ctxflow context-free query API shim; QueryContext is the canonical path
+	return db.QueryContext(context.Background(), src)
 }
 
 // QueryContext parses and executes a temporal query under a context:

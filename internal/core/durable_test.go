@@ -156,7 +156,7 @@ func TestOpenDurableRecoversDeletedDocs(t *testing.T) {
 		t.Fatalf("DocHistory = %v, %v; want the single pre-deletion version", hist, err)
 	}
 	// Current-state pattern scan must not resurrect the deleted doc.
-	matches, err := r.ScanCurrent(restaurantPattern())
+	matches, err := r.PatternScan(restaurantPattern())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func (db *DB) historyChunk(ctx context.Context, id model.DocID, versions []store
 	return out, nil
 }
 
-// PrefetchVersions implements plan.Prefetcher: it materializes the given
+// PrefetchVersions implements plan.Engine: it materializes the given
 // document versions on the worker pool, handing each to sink as it
 // completes (serialized by a mutex, so the executor's tree cache needs no
 // locking of its own). Reconstructions go through the version cache when

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -140,7 +141,7 @@ func (db *DB) ReconstructAtName(t *testing.T, name string, at model.Time) (*xmlt
 		if info.Name != name {
 			continue
 		}
-		if vt, err := db.store.ReconstructAt(id, at); err == nil {
+		if vt, err := db.store.ReconstructAtContext(context.Background(), id, at); err == nil {
 			return vt.Root, nil
 		}
 	}

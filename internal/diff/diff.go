@@ -131,6 +131,42 @@ func Diff(old, new *xmltree.Node, opts Options) (*Script, *xmltree.Node, error) 
 	return script, work, nil
 }
 
+// Elements computes the edit script between two element versions — trees
+// taken from anywhere in the database, possibly different documents — and
+// returns it as XML (<txdelta>): edit scripts are XML, keeping queries
+// closed under the data model (Section 6.1). Neither input is modified.
+// Nodes of a without an XID get fresh ones above a's largest; b's XIDs are
+// ignored and the matcher assigns them.
+func Elements(a, b *xmltree.Node) (*xmltree.Node, error) {
+	old := a.Clone()
+	var maxX model.XID
+	old.Walk(func(n *xmltree.Node) bool {
+		if n.XID > maxX {
+			maxX = n.XID
+		}
+		return true
+	})
+	next := maxX
+	alloc := func() model.XID { next++; return next }
+	old.Walk(func(n *xmltree.Node) bool {
+		if n.XID == 0 {
+			n.XID = alloc()
+		}
+		return true
+	})
+	new := b.Clone()
+	new.Walk(func(n *xmltree.Node) bool { n.XID = 0; return true })
+	script, _, err := Diff(old, new, Options{
+		Alloc:     alloc,
+		FromStamp: a.Stamp,
+		Stamp:     b.Stamp,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return script.ToXML(), nil
+}
+
 // mirror copies XIDs and stamps from the work tree onto the structurally
 // equal new tree, failing if the trees disagree.
 func mirror(work, new *xmltree.Node) error {

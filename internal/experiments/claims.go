@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -74,7 +75,7 @@ func C1(versionCounts []int) (Table, error) {
 		t0 := time.Now()
 		var nms []pattern.Match
 		for i := 0; i < reps; i++ {
-			if nms, err = ndb.ScanT(pat, at); err != nil {
+			if nms, err = ndb.ScanTContext(context.Background(), pat, at); err != nil {
 				return t, err
 			}
 		}
@@ -278,14 +279,14 @@ func C5() (Table, error) {
 		const reps = 20
 		t0 = time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := db.ScanT(pat, timeAt(c.Versions/2)); err != nil {
+			if _, err := db.ScanTContext(context.Background(), pat, timeAt(c.Versions/2)); err != nil {
 				return t, err
 			}
 		}
 		snapMs := msPerRep(t0, reps)
 		t0 = time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := db.ScanAll(pat); err != nil {
+			if _, err := db.ScanAllContext(context.Background(), pat); err != nil {
 				return t, err
 			}
 		}
@@ -357,7 +358,7 @@ func C7(versionCounts []int) (Table, error) {
 		t0 := time.Now()
 		var all []pattern.Match
 		for i := 0; i < reps; i++ {
-			if all, err = db.ScanAll(pat); err != nil {
+			if all, err = db.ScanAllContext(context.Background(), pat); err != nil {
 				return t, err
 			}
 		}
@@ -365,7 +366,7 @@ func C7(versionCounts []int) (Table, error) {
 		t0 = time.Now()
 		var snap []pattern.Match
 		for i := 0; i < reps; i++ {
-			if snap, err = db.ScanT(pat, timeAt(vc/2)); err != nil {
+			if snap, err = db.ScanTContext(context.Background(), pat, timeAt(vc/2)); err != nil {
 				return t, err
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"txmldb/internal/diff"
 	"txmldb/internal/fti"
 	"txmldb/internal/model"
 	"txmldb/internal/query"
@@ -230,7 +231,7 @@ func (ex *executor) evalCall(c query.Call, row env) (any, error) {
 		if !aok || !bok || len(an) == 0 || len(bn) == 0 {
 			return nil, nil
 		}
-		deltaDoc, err := ex.engine.DiffNodes(an[0].Node, bn[0].Node)
+		deltaDoc, err := diff.Elements(an[0].Node, bn[0].Node)
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +296,7 @@ func (ex *executor) evalVersionNav(name string, b *binding) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	versions, err := ex.versions(b.doc)
+	versions, err := ex.engine.VersionsContext(ex.ctx, b.doc)
 	if err != nil {
 		return nil, err
 	}

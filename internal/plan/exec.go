@@ -67,31 +67,13 @@ func (ex *executor) tree(doc model.DocID, ver model.VersionNo) (*store.VersionTr
 	if err := ex.ctx.Err(); err != nil {
 		return nil, err
 	}
-	var vt store.VersionTree
-	var err error
-	if cr, ok := ex.engine.(ContextReconstructor); ok {
-		vt, err = cr.ReconstructVersionContext(ex.ctx, doc, ver)
-	} else {
-		vt, err = ex.engine.ReconstructVersion(doc, ver)
-	}
+	vt, err := ex.engine.ReconstructVersionContext(ex.ctx, doc, ver)
 	if err != nil {
 		return nil, err
 	}
 	ex.metrics.Reconstructions++
 	ex.treeCache[key] = &vt
 	return &vt, nil
-}
-
-// versions lists a document's versions, through the engine's context-aware
-// listing when it has one (epoch-pinned queries see a clamped list).
-func (ex *executor) versions(doc model.DocID) ([]store.VersionInfo, error) {
-	if vl, ok := ex.engine.(ContextVersionLister); ok {
-		return vl.VersionsContext(ex.ctx, doc)
-	}
-	// Engines without VersionsContext (the sharded Router: no cross-shard
-	// pin) can only serve the live list; this helper is the single fallback.
-	//txvet:ignore epochpin fallback for engines that cannot pin an epoch; pinned engines take the VersionsContext branch above
-	return ex.engine.Versions(doc)
 }
 
 // node resolves the element bound by b in its document version.
@@ -193,7 +175,7 @@ func (ex *executor) run(q *query.Query) (*Result, error) {
 		res.Rows = res.Rows[:q.Limit]
 	}
 	res.Metrics = ex.metrics
-	if dr, ok := ex.engine.(DegradedReporter); ok && dr.DegradedMode() {
+	if ex.engine.DegradedMode() {
 		// The engine served this query while degraded: the rows that made
 		// it here are correct, but the caller should know coverage was
 		// cache-first.
@@ -218,7 +200,7 @@ func (ex *executor) bindFromItem(q *query.Query, f query.FromItem) ([]*binding, 
 	clip := model.Always
 	switch f.Kind {
 	case query.AtCurrent:
-		matches, err = ex.scanCurrent(pat)
+		matches, err = ex.engine.ScanCurrentContext(ex.ctx, pat)
 		snapAt = ex.engine.Now()
 	case query.AtTime:
 		at, err2 := ex.evalTime(f.At)
@@ -226,9 +208,9 @@ func (ex *executor) bindFromItem(q *query.Query, f query.FromItem) ([]*binding, 
 			return nil, err2
 		}
 		snapAt = at
-		matches, err = ex.scanT(pat, at)
+		matches, err = ex.engine.ScanTContext(ex.ctx, pat, at)
 	case query.AtEvery:
-		matches, err = ex.scanAll(pat)
+		matches, err = ex.engine.ScanAllContext(ex.ctx, pat)
 	case query.AtRange:
 		// [t1 TO t2]: the versions valid in the interval — the language
 		// face of the DocHistory/ElementHistory operators. A ScanAll whose
@@ -245,12 +227,12 @@ func (ex *executor) bindFromItem(q *query.Query, f query.FromItem) ([]*binding, 
 			return nil, fmt.Errorf("plan: empty time range [%s TO %s]", from, until)
 		}
 		clip = model.Interval{Start: from, End: until}
-		matches, err = ex.scanAll(pat)
+		matches, err = ex.engine.ScanAllContext(ex.ctx, pat)
 	}
 	if err != nil {
 		return nil, err
 	}
-	versions, err := ex.versions(doc)
+	versions, err := ex.engine.VersionsContext(ex.ctx, doc)
 	if err != nil {
 		return nil, err
 	}
@@ -305,15 +287,11 @@ func (ex *executor) bindFromItem(q *query.Query, f query.FromItem) ([]*binding, 
 }
 
 // prefetchEvery batch-materializes the document versions the expansion of
-// the clipped matches will reconstruct, through the engine's optional
-// Prefetcher. Each prefetched key is exactly one reconstruction the
+// the clipped matches will reconstruct, through the engine's
+// PrefetchVersions. Each prefetched key is exactly one reconstruction the
 // sequential pass would have performed (a distinct tree-cache miss), so
 // the Reconstructions metric is credited identically.
 func (ex *executor) prefetchEvery(doc model.DocID, matches []pattern.Match, versions []store.VersionInfo) error {
-	pf, ok := ex.engine.(Prefetcher)
-	if !ok {
-		return nil
-	}
 	seen := make(map[treeKey]bool)
 	var keys []VersionKey
 	for _, m := range matches {
@@ -332,7 +310,7 @@ func (ex *executor) prefetchEvery(doc model.DocID, matches []pattern.Match, vers
 	if len(keys) < 2 {
 		return nil
 	}
-	ran, err := pf.PrefetchVersions(ex.ctx, keys, func(k VersionKey, vt store.VersionTree) {
+	ran, err := ex.engine.PrefetchVersions(ex.ctx, keys, func(k VersionKey, vt store.VersionTree) {
 		t := vt
 		ex.treeCache[treeKey{k.Doc, k.Ver}] = &t
 	})
@@ -720,29 +698,4 @@ func (ex *executor) orderRows(q *query.Query, rows []env, res *Result) error {
 		res.Rows[i] = ks[i].row
 	}
 	return nil
-}
-
-// scanT dispatches the TPatternScan operator, preferring the engine's
-// context-aware variant so cancellation reaches the per-document join.
-func (ex *executor) scanT(p *pattern.PNode, t model.Time) ([]pattern.Match, error) {
-	if cs, ok := ex.engine.(ContextScanner); ok {
-		return cs.ScanTContext(ex.ctx, p, t)
-	}
-	return ex.engine.ScanT(p, t)
-}
-
-// scanAll dispatches TPatternScanAll, preferring the context-aware variant.
-func (ex *executor) scanAll(p *pattern.PNode) ([]pattern.Match, error) {
-	if cs, ok := ex.engine.(ContextScanner); ok {
-		return cs.ScanAllContext(ex.ctx, p)
-	}
-	return ex.engine.ScanAll(p)
-}
-
-// scanCurrent dispatches PatternScan, preferring the context-aware variant.
-func (ex *executor) scanCurrent(p *pattern.PNode) ([]pattern.Match, error) {
-	if cs, ok := ex.engine.(ContextScanner); ok {
-		return cs.ScanCurrentContext(ex.ctx, p)
-	}
-	return ex.engine.ScanCurrent(p)
 }

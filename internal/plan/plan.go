@@ -24,84 +24,50 @@ import (
 	"txmldb/internal/xmltree"
 )
 
-// Engine is what the executor needs from the database; internal/core
-// implements it.
+// Engine is what the executor needs from the database; core.DB and
+// shard.Router implement it. Every operator that touches the index or the
+// version store takes the query's context, so cancellation, deadline
+// expiry and an epoch pin (store.WithEpoch) reach the per-document join
+// and the store's retry loop.
 type Engine interface {
 	// Now returns the current transaction time.
 	Now() model.Time
 	// LookupDoc resolves a document URL.
 	LookupDoc(url string) (model.DocID, bool)
-	// ScanT is the TPatternScan operator (snapshot at t).
-	ScanT(p *pattern.PNode, t model.Time) ([]pattern.Match, error)
-	// ScanAll is the TPatternScanAll operator (all versions).
-	ScanAll(p *pattern.PNode) ([]pattern.Match, error)
-	// ScanCurrent is the non-temporal PatternScan.
-	ScanCurrent(p *pattern.PNode) ([]pattern.Match, error)
-	// Versions returns a document's delta index.
-	Versions(doc model.DocID) ([]store.VersionInfo, error)
-	// ReconstructVersion is the Reconstruct operator.
-	ReconstructVersion(doc model.DocID, ver model.VersionNo) (store.VersionTree, error)
+	// ScanTContext is the TPatternScan operator (snapshot at t).
+	ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) ([]pattern.Match, error)
+	// ScanAllContext is the TPatternScanAll operator (all versions).
+	ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error)
+	// ScanCurrentContext is the non-temporal PatternScan.
+	ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error)
+	// VersionsContext returns a document's delta index; under an epoch pin
+	// only the versions published at or before the pin.
+	VersionsContext(ctx context.Context, doc model.DocID) ([]store.VersionInfo, error)
+	// ReconstructVersionContext is the Reconstruct operator.
+	ReconstructVersionContext(ctx context.Context, doc model.DocID, ver model.VersionNo) (store.VersionTree, error)
+	// PrefetchVersions batch-materializes document versions — typically in
+	// parallel. The executor uses it to warm its per-query tree cache
+	// before expanding [EVERY] and [t1 TO t2] FROM items, overlapping the
+	// independent reconstructions while the expansion itself stays
+	// sequential (results and reconstruction counts are identical either
+	// way). sink is called once per materialized key, from arbitrary
+	// goroutines but never concurrently. ran reports whether the prefetch
+	// executed; when false (e.g. a single-worker engine) the executor
+	// reconstructs on demand.
+	PrefetchVersions(ctx context.Context, keys []VersionKey, sink func(VersionKey, store.VersionTree)) (ran bool, err error)
+	// DegradedMode reports whether the engine's resilience tier is serving
+	// cache-first; the executor flags such results (Result.Degraded).
+	DegradedMode() bool
 	// CreTime returns an element's creation time.
 	CreTime(eid model.EID) (model.Time, error)
 	// DelTime returns an element's deletion time (Forever while alive).
 	DelTime(eid model.EID) (model.Time, error)
-	// DiffNodes computes the edit script between two elements, as XML.
-	DiffNodes(a, b *xmltree.Node) (*xmltree.Node, error)
 }
 
 // VersionKey names one document version for batch prefetch.
 type VersionKey struct {
 	Doc model.DocID
 	Ver model.VersionNo
-}
-
-// Prefetcher is an optional Engine extension: a batch — typically parallel
-// — materialization of document versions. The executor uses it to warm
-// its per-query tree cache before expanding [EVERY] and [t1 TO t2] FROM
-// items, overlapping the independent reconstructions while the expansion
-// itself stays sequential (results and reconstruction counts are
-// identical either way). sink is called once per materialized key, from
-// arbitrary goroutines but never concurrently. ran reports whether the
-// prefetch actually executed; when false (e.g. a single-worker engine)
-// the executor reconstructs on demand.
-type Prefetcher interface {
-	PrefetchVersions(ctx context.Context, keys []VersionKey, sink func(VersionKey, store.VersionTree)) (ran bool, err error)
-}
-
-// ContextReconstructor is an optional Engine extension: a context-aware
-// Reconstruct operator. The executor prefers it for row materialization,
-// so cancellation (and, when the engine carries a resilience tier, the
-// circuit breaker's fast-fail) reaches the version store's retry loop.
-type ContextReconstructor interface {
-	ReconstructVersionContext(ctx context.Context, doc model.DocID, ver model.VersionNo) (store.VersionTree, error)
-}
-
-// ContextVersionLister is an optional Engine extension: a version listing
-// that honors the executor's context. Engines with epoch-pinned snapshot
-// reads use it so a pinned query's [EVERY] and interval expansions select
-// only versions published at or before the pin.
-type ContextVersionLister interface {
-	VersionsContext(ctx context.Context, doc model.DocID) ([]store.VersionInfo, error)
-}
-
-// DegradedReporter is an optional Engine extension: engines carrying a
-// resilience tier report whether they are serving in degraded mode so the
-// executor can flag results (Result.Degraded, the envelope's
-// "degraded":true).
-type DegradedReporter interface {
-	DegradedMode() bool
-}
-
-// ContextScanner is an optional Engine extension: context-aware variants
-// of the pattern-scan operators. The executor prefers these, passing the
-// query's context, so cancellation and deadline expiry reach the
-// per-document join inside a scan instead of waiting for the next
-// reconstruction checkpoint. Engines without it fall back to the
-// context-free Engine methods.
-type ContextScanner interface {
-	ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) ([]pattern.Match, error)
-	ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error)
-	ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error)
 }
 
 // Metrics counts the work a query performed.
@@ -126,12 +92,6 @@ type Result struct {
 	Degraded bool
 }
 
-// Run executes a parsed query.
-func Run(e Engine, q *query.Query) (*Result, error) {
-	//txvet:ignore ctxflow context-free convenience wrapper; RunContext is the canonical path
-	return RunContext(context.Background(), e, q)
-}
-
 // RunContext executes a parsed query under a context. Cancellation and
 // deadline expiry are observed at every version reconstruction and, for
 // cheap row work, every ctxStride steps; an interrupted query returns the
@@ -144,12 +104,6 @@ func RunContext(ctx context.Context, e Engine, q *query.Query) (*Result, error) 
 		treeCache: make(map[treeKey]*store.VersionTree),
 	}
 	return ex.run(q)
-}
-
-// RunString parses and executes a query text.
-func RunString(e Engine, src string) (*Result, error) {
-	//txvet:ignore ctxflow context-free convenience wrapper; RunStringContext is the canonical path
-	return RunStringContext(context.Background(), e, src)
 }
 
 // RunStringContext parses and executes a query text under a context.

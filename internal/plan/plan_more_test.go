@@ -12,7 +12,7 @@ import (
 
 func TestOrderByAscDescAndValues(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT R/name, R/price
+	res, err := db.Query(`SELECT R/name, R/price
 		FROM doc("u")[26/01/2001]/restaurant R ORDER BY R/price`)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +24,7 @@ func TestOrderByAscDescAndValues(t *testing.T) {
 	if first != "Akropolis" { // price 13 before 15
 		t.Fatalf("ascending order first = %q", first)
 	}
-	res2, err := plan.RunString(db, `SELECT R/name
+	res2, err := db.Query(`SELECT R/name
 		FROM doc("u")[26/01/2001]/restaurant R ORDER BY R/price DESC`)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestOrderByAscDescAndValues(t *testing.T) {
 		t.Fatalf("descending order first = %q", got)
 	}
 	// ORDER BY a time key.
-	res3, err := plan.RunString(db, `SELECT TIME(R) FROM doc("u")[EVERY]/restaurant R
+	res3, err := db.Query(`SELECT TIME(R) FROM doc("u")[EVERY]/restaurant R
 		WHERE R/name = "Napoli" ORDER BY TIME(R) DESC`)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestOrderByAscDescAndValues(t *testing.T) {
 func TestOrderByErrorOnNodeKeyConflict(t *testing.T) {
 	db := figure1(t)
 	// ORDER BY over elements falls back to their text: no error, sorted.
-	res, err := plan.RunString(db, `SELECT R/name FROM doc("u")[26/01/2001]/restaurant R ORDER BY R/name`)
+	res, err := db.Query(`SELECT R/name FROM doc("u")[26/01/2001]/restaurant R ORDER BY R/name`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestOrderByErrorOnNodeKeyConflict(t *testing.T) {
 func TestDistinctOverScalars(t *testing.T) {
 	db := figure1(t)
 	// Two Napoli element versions share the name text: DISTINCT collapses.
-	res, err := plan.RunString(db, `SELECT DISTINCT R/name
+	res, err := db.Query(`SELECT DISTINCT R/name
 		FROM doc("u")[EVERY]/restaurant R WHERE R/name = "Napoli"`)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestDistinctOverScalars(t *testing.T) {
 		t.Fatalf("distinct rows = %d", len(res.Rows))
 	}
 	// Without DISTINCT there are two.
-	res2, _ := plan.RunString(db, `SELECT R/name
+	res2, _ := db.Query(`SELECT R/name
 		FROM doc("u")[EVERY]/restaurant R WHERE R/name = "Napoli"`)
 	if len(res2.Rows) != 2 {
 		t.Fatalf("plain rows = %d", len(res2.Rows))
@@ -76,7 +76,7 @@ func TestDistinctOverScalars(t *testing.T) {
 
 func TestDistinctWithOrderByAndLimit(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT DISTINCT R/price
+	res, err := db.Query(`SELECT DISTINCT R/price
 		FROM doc("u")[EVERY]/restaurant R
 		WHERE R/name = "Napoli" ORDER BY R/price LIMIT 1`)
 	if err != nil {
@@ -91,13 +91,13 @@ func TestDistinctWithOrderByAndLimit(t *testing.T) {
 
 func TestResultDocRendersAllValueKinds(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT TIME(R), R/price, COUNT(R)
+	res, err := db.Query(`SELECT TIME(R), R/price, COUNT(R)
 		FROM doc("u")[26/01/2001]/restaurant R`)
 	// Mixing aggregate with plain fails: split into two queries instead.
 	if err == nil {
 		t.Fatal("mixed select should fail")
 	}
-	res, err = plan.RunString(db, `SELECT TIME(R), R/price, R/name, 3.5, "label"
+	res, err = db.Query(`SELECT TIME(R), R/price, R/name, 3.5, "label"
 		FROM doc("u")[26/01/2001]/restaurant R WHERE R/name = "Napoli"`)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestVersionNavEdges(t *testing.T) {
 	}
 
 	// NEXT of the last element version is empty.
-	res, err := plan.RunString(db, `SELECT NEXT(R)
+	res, err := db.Query(`SELECT NEXT(R)
 		FROM doc("u")[EVERY]/restaurant R WHERE R/name = "Napoli" AND R/price = "18"`)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestVersionNavEdges(t *testing.T) {
 		t.Fatalf("NEXT of last version = %v", elems)
 	}
 	// NEXT of a deleted element (Akropolis) is empty.
-	res2, err := plan.RunString(db, `SELECT NEXT(R)
+	res2, err := db.Query(`SELECT NEXT(R)
 		FROM doc("u")[EVERY]/restaurant R WHERE R/name = "Akropolis"`)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestVersionNavEdges(t *testing.T) {
 		t.Fatalf("NEXT of deleted element = %v", elems)
 	}
 	// CURRENT of a deleted element is empty; of a live one, non-empty.
-	res3, err := plan.RunString(db, `SELECT CURRENT(R)
+	res3, err := db.Query(`SELECT CURRENT(R)
 		FROM doc("u")[EVERY]/restaurant R WHERE R/name = "Akropolis"`)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestVersionNavEdges(t *testing.T) {
 	if err := db.Delete(id, jan31); err != nil {
 		t.Fatal(err)
 	}
-	res4, err := plan.RunString(db, `SELECT CURRENT(R)
+	res4, err := db.Query(`SELECT CURRENT(R)
 		FROM doc("u")[EVERY]/restaurant R WHERE R/name = "Napoli" AND R/price = "18"`)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestVersionNavEdges(t *testing.T) {
 func TestLiteralOnLeftOfEquality(t *testing.T) {
 	db := figure1(t)
 	// pathAndLiteral must recognize "Napoli" = R/name too.
-	res, err := plan.RunString(db, `SELECT R FROM doc("u")[26/01/2001]/restaurant R
+	res, err := db.Query(`SELECT R FROM doc("u")[26/01/2001]/restaurant R
 		WHERE "Napoli" = R/name`)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestNumericStringComparison(t *testing.T) {
 	// "13" < 15 numerically (not lexicographically where "13" < "15" too);
 	// use 9 to force the numeric path: "13" < 9 is false numerically but
 	// true lexicographically ("1" < "9").
-	res, err := plan.RunString(db, `SELECT R/name FROM doc("u")[26/01/2001]/restaurant R
+	res, err := db.Query(`SELECT R/name FROM doc("u")[26/01/2001]/restaurant R
 		WHERE R/price < 9`)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestNumericStringComparison(t *testing.T) {
 	if len(res.Rows) != 0 {
 		t.Fatalf("numeric comparison fell back to lexicographic: %v", res.Rows)
 	}
-	res2, err := plan.RunString(db, `SELECT R/name FROM doc("u")[26/01/2001]/restaurant R
+	res2, err := db.Query(`SELECT R/name FROM doc("u")[26/01/2001]/restaurant R
 		WHERE R/price >= 13 AND R/price <= 15`)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestNumericStringComparison(t *testing.T) {
 
 func TestPlainNumberArithmeticInSelect(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT 2 + 3, 10 - 4.5 FROM doc("u")[26/01/2001]/restaurant R LIMIT 1`)
+	res, err := db.Query(`SELECT 2 + 3, 10 - 4.5 FROM doc("u")[26/01/2001]/restaurant R LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestPlainNumberArithmeticInSelect(t *testing.T) {
 
 func TestBooleanInSelect(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT R/price < 14 FROM doc("u")[26/01/2001]/restaurant R
+	res, err := db.Query(`SELECT R/price < 14 FROM doc("u")[26/01/2001]/restaurant R
 		WHERE R/name = "Akropolis"`)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestBooleanInSelect(t *testing.T) {
 
 func TestTimeLiteralComparisons(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT R/name FROM doc("u")[26/01/2001]/restaurant R
+	res, err := db.Query(`SELECT R/name FROM doc("u")[26/01/2001]/restaurant R
 		WHERE CREATE TIME(R) != 01/01/2001 AND CREATE TIME(R) <= 20/01/2001`)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestDiffBetweenDifferentElements(t *testing.T) {
 	// DIFF across two different restaurants: an edit script turning one
 	// into the other (the paper: "E1 and E2 can be versions of the same
 	// element, but can also represent different documents or subtrees").
-	res, err := plan.RunString(db, `SELECT DIFF(R1, R2)
+	res, err := db.Query(`SELECT DIFF(R1, R2)
 		FROM doc("u")[26/01/2001]/restaurant R1, doc("u")[26/01/2001]/restaurant R2
 		WHERE R1/name = "Napoli" AND R2/name = "Akropolis"`)
 	if err != nil {
@@ -268,7 +268,7 @@ func TestEmptyEveryExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A word that never occurs: zero matches, zero rows, no error.
-	res, err := plan.RunString(db, `SELECT R FROM doc("u")[EVERY]/r R WHERE R/n = "nothere"`)
+	res, err := db.Query(`SELECT R FROM doc("u")[EVERY]/r R WHERE R/n = "nothere"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRangeTimespec(t *testing.T) {
 	db := figure1(t)
 	// [01/01/2001 TO 31/01/2001): covers Napoli@15 (v1) and the v2 state,
 	// but not the jan31 price change.
-	res, err := plan.RunString(db, `SELECT TIME(R), R/price
+	res, err := db.Query(`SELECT TIME(R), R/price
 		FROM doc("u")[01/01/2001 TO 31/01/2001]/restaurant R
 		WHERE R/name = "Napoli"`)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestRangeTimespec(t *testing.T) {
 		t.Fatalf("range row time = %v", res.Rows[0][0])
 	}
 	// Extending past jan31 picks up the price change.
-	res2, err := plan.RunString(db, `SELECT TIME(R)
+	res2, err := db.Query(`SELECT TIME(R)
 		FROM doc("u")[01/01/2001 TO 10/02/2001]/restaurant R
 		WHERE R/name = "Napoli"`)
 	if err != nil {
@@ -304,7 +304,7 @@ func TestRangeTimespec(t *testing.T) {
 		t.Fatalf("extended range rows = %v", res2.Rows)
 	}
 	// Akropolis only existed inside [jan15, jan31).
-	res3, err := plan.RunString(db, `SELECT COUNT(R)
+	res3, err := db.Query(`SELECT COUNT(R)
 		FROM doc("u")[16/01/2001 TO 17/01/2001]/restaurant R
 		WHERE R/name = "Akropolis"`)
 	if err != nil {
@@ -314,11 +314,11 @@ func TestRangeTimespec(t *testing.T) {
 		t.Fatalf("akropolis in range = %v", res3.Rows[0][0])
 	}
 	// Empty and inverted ranges error or return nothing.
-	if _, err := plan.RunString(db, `SELECT R FROM doc("u")[31/01/2001 TO 01/01/2001]/restaurant R`); err == nil {
+	if _, err := db.Query(`SELECT R FROM doc("u")[31/01/2001 TO 01/01/2001]/restaurant R`); err == nil {
 		t.Fatal("inverted range must fail")
 	}
 	// NOW-relative range endpoints work.
-	res4, err := plan.RunString(db, `SELECT COUNT(R)
+	res4, err := db.Query(`SELECT COUNT(R)
 		FROM doc("u")[NOW - 30 DAYS TO NOW]/restaurant R`)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestHyphenatedLiteralPushdown(t *testing.T) {
 	if _, err := db.Put("u", tree, jan1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.RunString(db, `SELECT R/price FROM doc("u")/r R WHERE R/name = "rest-000-0001"`)
+	res, err := db.Query(`SELECT R/price FROM doc("u")/r R WHERE R/name = "rest-000-0001"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestHyphenatedLiteralPushdown(t *testing.T) {
 	}
 	// Token-subset false positives are filtered by the equality re-check:
 	// "rest-000" shares tokens with both names but equals neither.
-	res2, err := plan.RunString(db, `SELECT R FROM doc("u")/r R WHERE R/name = "rest-000"`)
+	res2, err := db.Query(`SELECT R FROM doc("u")/r R WHERE R/name = "rest-000"`)
 	if err != nil {
 		t.Fatal(err)
 	}

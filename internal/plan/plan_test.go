@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func figure1(t testing.TB) *core.DB {
 }
 
 func TestRunStringParseError(t *testing.T) {
-	if _, err := plan.RunString(figure1(t), `garbage`); err == nil {
+	if _, err := plan.RunStringContext(context.Background(), figure1(t), `garbage`); err == nil {
 		t.Fatal("parse errors must propagate")
 	}
 }
@@ -52,7 +53,7 @@ func TestRunStringParseError(t *testing.T) {
 func TestEveryCrossJoin(t *testing.T) {
 	db := figure1(t)
 	// EVERY × EVERY self-join: pairs of Napoli element versions.
-	res, err := plan.RunString(db, `SELECT TIME(R1), TIME(R2)
+	res, err := db.Query(`SELECT TIME(R1), TIME(R2)
 		FROM doc("u")[EVERY]/restaurant R1, doc("u")[EVERY]/restaurant R2
 		WHERE R1/name = "Napoli" AND R2/name = "Napoli" AND TIME(R1) < TIME(R2)`)
 	if err != nil {
@@ -69,7 +70,7 @@ func TestEveryCrossJoin(t *testing.T) {
 
 func TestSnapshotAndEveryMixedJoin(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT TIME(R2), R2/price
+	res, err := db.Query(`SELECT TIME(R2), R2/price
 		FROM doc("u")[26/01/2001]/restaurant R1, doc("u")[EVERY]/restaurant R2
 		WHERE R1 == R2 AND R1/name = "Napoli"`)
 	if err != nil {
@@ -83,57 +84,57 @@ func TestSnapshotAndEveryMixedJoin(t *testing.T) {
 
 func TestWhereTypeError(t *testing.T) {
 	db := figure1(t)
-	if _, err := plan.RunString(db, `SELECT R FROM doc("u")/restaurant R WHERE R/price`); err == nil {
+	if _, err := db.Query(`SELECT R FROM doc("u")/restaurant R WHERE R/price`); err == nil {
 		// A bare node list in WHERE is existential (allowed); but a bare
 		// string literal is not a boolean.
 		t.Log("bare path predicate treated as existence check")
 	}
-	if _, err := plan.RunString(db, `SELECT R FROM doc("u")/restaurant R WHERE "notabool"`); err == nil {
+	if _, err := db.Query(`SELECT R FROM doc("u")/restaurant R WHERE "notabool"`); err == nil {
 		t.Fatal("non-boolean WHERE must fail")
 	}
 }
 
 func TestUnknownFunction(t *testing.T) {
 	db := figure1(t)
-	if _, err := plan.RunString(db, `SELECT NOSUCH(R) FROM doc("u")/restaurant R`); err == nil {
+	if _, err := db.Query(`SELECT NOSUCH(R) FROM doc("u")/restaurant R`); err == nil {
 		t.Fatal("unknown function must fail")
 	}
 }
 
 func TestPreviousRequiresVariable(t *testing.T) {
 	db := figure1(t)
-	if _, err := plan.RunString(db, `SELECT PREVIOUS(R/name) FROM doc("u")/restaurant R`); err == nil {
+	if _, err := db.Query(`SELECT PREVIOUS(R/name) FROM doc("u")/restaurant R`); err == nil {
 		t.Fatal("PREVIOUS over a path must fail")
 	}
 }
 
 func TestMixedAggregateAndPlainFails(t *testing.T) {
 	db := figure1(t)
-	if _, err := plan.RunString(db, `SELECT COUNT(R), R FROM doc("u")/restaurant R`); err == nil {
+	if _, err := db.Query(`SELECT COUNT(R), R FROM doc("u")/restaurant R`); err == nil {
 		t.Fatal("mixing aggregates with plain columns must fail")
 	}
 }
 
 func TestArithmeticErrors(t *testing.T) {
 	db := figure1(t)
-	if _, err := plan.RunString(db, `SELECT R FROM doc("u")[NOW - "x"]/restaurant R`); err == nil {
+	if _, err := db.Query(`SELECT R FROM doc("u")[NOW - "x"]/restaurant R`); err == nil {
 		t.Fatal("time minus string must fail")
 	}
-	if _, err := plan.RunString(db, `SELECT R FROM doc("u")["x" + 14 DAYS]/restaurant R`); err == nil {
+	if _, err := db.Query(`SELECT R FROM doc("u")["x" + 14 DAYS]/restaurant R`); err == nil {
 		t.Fatal("string timespec must fail")
 	}
 }
 
 func TestPathOverScalarFails(t *testing.T) {
 	db := figure1(t)
-	if _, err := plan.RunString(db, `SELECT TIME(R)/x FROM doc("u")[EVERY]/restaurant R`); err == nil {
+	if _, err := db.Query(`SELECT TIME(R)/x FROM doc("u")[EVERY]/restaurant R`); err == nil {
 		t.Fatal("path over a scalar must fail")
 	}
 }
 
 func TestAggregatesOverValues(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT COUNT(R), MIN(R/price), MAX(R/price), AVG(R/price)
+	res, err := db.Query(`SELECT COUNT(R), MIN(R/price), MAX(R/price), AVG(R/price)
 		FROM doc("u")[26/01/2001]/restaurant R`)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +153,7 @@ func TestAggregatesOverValues(t *testing.T) {
 
 func TestCountOfMissingPath(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT COUNT(R/nosuch) FROM doc("u")[26/01/2001]/restaurant R`)
+	res, err := db.Query(`SELECT COUNT(R/nosuch) FROM doc("u")[26/01/2001]/restaurant R`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestSimilarOperatorInWhere(t *testing.T) {
 	// Napoli@15 vs Napoli@18 share name and structure but differ in
 	// price: similar at a relaxed threshold but not at the strict default
 	// (the operator distinguishes "same entry, updated" from "identical").
-	res, err := plan.RunString(db, `SELECT R1/name
+	res, err := db.Query(`SELECT R1/name
 		FROM doc("u")[02/01/2001]/restaurant R1, doc("u")/restaurant R2
 		WHERE SIMILAR(R1, R2, 0.6)`)
 	if err != nil {
@@ -175,7 +176,7 @@ func TestSimilarOperatorInWhere(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("SIMILAR 0.6 rows = %v", res.Rows)
 	}
-	strict, err := plan.RunString(db, `SELECT R1/name
+	strict, err := db.Query(`SELECT R1/name
 		FROM doc("u")[02/01/2001]/restaurant R1, doc("u")/restaurant R2
 		WHERE SIMILAR(R1, R2, 0.99)`)
 	if err != nil {
@@ -189,7 +190,7 @@ func TestSimilarOperatorInWhere(t *testing.T) {
 func TestResultDocNilValues(t *testing.T) {
 	db := figure1(t)
 	// PREVIOUS of the first version is empty: rendered as an empty value.
-	res, err := plan.RunString(db, `SELECT PREVIOUS(R)
+	res, err := db.Query(`SELECT PREVIOUS(R)
 		FROM doc("u")[EVERY]/restaurant R WHERE R/name = "Akropolis"`)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +253,7 @@ func TestOrPredicateNotPushedDown(t *testing.T) {
 	db := figure1(t)
 	// name="Napoli" under OR must not restrict the scan: Akropolis rows
 	// with price 13 must survive.
-	res, err := plan.RunString(db, `SELECT R/name
+	res, err := db.Query(`SELECT R/name
 		FROM doc("u")[26/01/2001]/restaurant R
 		WHERE R/name = "Napoli" OR R/price = "13"`)
 	if err != nil {
@@ -270,7 +271,7 @@ func TestOrPredicateNotPushedDown(t *testing.T) {
 
 func TestNotPredicate(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT R/name
+	res, err := db.Query(`SELECT R/name
 		FROM doc("u")[26/01/2001]/restaurant R
 		WHERE NOT R/name = "Napoli"`)
 	if err != nil {
@@ -287,7 +288,7 @@ func TestDescendantPathInWhere(t *testing.T) {
 	if _, err := db.Put("u", tree, jan1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.RunString(db, `SELECT R FROM doc("u")/r R WHERE R//chef = "Mario"`)
+	res, err := db.Query(`SELECT R FROM doc("u")/r R WHERE R//chef = "Mario"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestDescendantPathInWhere(t *testing.T) {
 
 func TestMetricsRowsExamined(t *testing.T) {
 	db := figure1(t)
-	res, err := plan.RunString(db, `SELECT R FROM doc("u")[26/01/2001]/restaurant R WHERE R/price = "15"`)
+	res, err := db.Query(`SELECT R FROM doc("u")[26/01/2001]/restaurant R WHERE R/price = "15"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestContainsPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deep containment on the variable itself.
-	res, err := plan.RunString(db, `SELECT R/name FROM doc("u")/r R WHERE CONTAINS(R, "Mario")`)
+	res, err := db.Query(`SELECT R/name FROM doc("u")/r R WHERE CONTAINS(R, "Mario")`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestContainsPredicate(t *testing.T) {
 		t.Fatalf("CONTAINS rows = %v", res.Rows)
 	}
 	// Containment below a path.
-	res2, err := plan.RunString(db, `SELECT R/name FROM doc("u")/r R WHERE CONTAINS(R/info, "Elena")`)
+	res2, err := db.Query(`SELECT R/name FROM doc("u")/r R WHERE CONTAINS(R/info, "Elena")`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestContainsPredicate(t *testing.T) {
 		t.Fatalf("CONTAINS path rows = %v", res2.Rows)
 	}
 	// Element names count as words (FTI semantics).
-	res3, err := plan.RunString(db, `SELECT COUNT(R) FROM doc("u")/r R WHERE CONTAINS(R, "chef")`)
+	res3, err := db.Query(`SELECT COUNT(R) FROM doc("u")/r R WHERE CONTAINS(R, "chef")`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestContainsPredicate(t *testing.T) {
 		t.Fatalf("CONTAINS name-word count = %v", res3.Rows[0][0])
 	}
 	// No match.
-	res4, err := plan.RunString(db, `SELECT R FROM doc("u")/r R WHERE CONTAINS(R, "nope")`)
+	res4, err := db.Query(`SELECT R FROM doc("u")/r R WHERE CONTAINS(R, "nope")`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +357,10 @@ func TestContainsPredicate(t *testing.T) {
 		t.Errorf("CONTAINS not pushed:\n%s", out)
 	}
 	// Errors.
-	if _, err := plan.RunString(db, `SELECT R FROM doc("u")/r R WHERE CONTAINS(R, 5)`); err == nil {
+	if _, err := db.Query(`SELECT R FROM doc("u")/r R WHERE CONTAINS(R, 5)`); err == nil {
 		t.Fatal("CONTAINS with non-string word must fail")
 	}
-	if _, err := plan.RunString(db, `SELECT R FROM doc("u")/r R WHERE CONTAINS("str", "w")`); err == nil {
+	if _, err := db.Query(`SELECT R FROM doc("u")/r R WHERE CONTAINS("str", "w")`); err == nil {
 		t.Fatal("CONTAINS over a non-element must fail")
 	}
 }
@@ -370,7 +371,7 @@ func TestContainsUnderOrNotPushed(t *testing.T) {
 	if _, err := db.Put("u", tree, jan1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.RunString(db, `SELECT R FROM doc("u")/r R
+	res, err := db.Query(`SELECT R FROM doc("u")/r R
 		WHERE CONTAINS(R, "A") OR CONTAINS(R, "B")`)
 	if err != nil {
 		t.Fatal(err)

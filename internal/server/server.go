@@ -41,70 +41,48 @@ import (
 	"txmldb/internal/metrics"
 )
 
-// Engine is the query surface the server serves; *txmldb.DB implements
-// it. Tests substitute stub engines to exercise overload and timeout
-// paths deterministically.
+// Engine is the surface the server serves: the query language, plus the
+// counters /metrics, /healthz and /readyz report. *txmldb.DB and
+// *txmldb.ShardedDB implement it. Methods returning ok=false (no cache,
+// not durable, no commit batching, no resilience tier) keep their metric
+// family out of the exposition entirely. Tests substitute stub engines
+// that embed a real one to exercise overload and timeout paths
+// deterministically.
 type Engine interface {
 	QueryContext(ctx context.Context, src string) (*txmldb.Result, error)
 	Explain(src string) (string, error)
-}
-
-// docLister is optionally implemented by engines (txmldb.DB is one) to
-// enrich /healthz with a document count.
-type docLister interface {
+	// Docs lists every document; /healthz reports the count.
 	Docs() []txmldb.DocID
-}
-
-// ioStatser is optionally implemented by engines (txmldb.DB is one) to
-// expose the storage tier's buffer-pool counters on /metrics.
-type ioStatser interface {
+	// IOStats are the storage tier's buffer-pool counters.
 	IOStats() txmldb.IOStats
-}
-
-// cacheStatser is optionally implemented by engines (txmldb.DB is one) to
-// expose the version-reconstruction cache counters on /metrics.
-type cacheStatser interface {
+	// CacheStats are the version-reconstruction cache counters.
 	CacheStats() (txmldb.CacheStats, bool)
-}
-
-// poolStatser is optionally implemented by engines (txmldb.DB is one) to
-// expose the shared worker pool's counters on /metrics. Per-request
-// concurrency composes with admission control: the gate bounds in-flight
-// queries, the pool bounds the total worker goroutines those queries fan
-// out to.
-type poolStatser interface {
+	// PoolStats are the shared worker pool's counters. Per-request
+	// concurrency composes with admission control: the gate bounds
+	// in-flight queries, the pool bounds the total worker goroutines those
+	// queries fan out to.
 	PoolStats() txmldb.PoolStats
-}
-
-// checkpointStatser is optionally implemented by engines (txmldb.DB is
-// one) to expose the checkpoint & compaction subsystem's counters on
-// /metrics. CheckpointStats returns false on non-durable engines, which
-// keeps the metric family out of the exposition entirely.
-type checkpointStatser interface {
+	// CheckpointStats are the checkpoint & compaction counters; ok is
+	// false on non-durable engines.
 	CheckpointStats() (txmldb.CheckpointStats, bool)
 	WALSegments() int64
-}
-
-// groupStatser is optionally implemented by engines (txmldb.DB and
-// txmldb.ShardedDB are two) to expose the WAL group-commit batcher's
-// counters on /metrics. CommitBatchStats returns false when commit
-// batching is not configured (PageConfig.GroupWindow <= 0), which keeps
-// the metric family out of the exposition entirely.
-type groupStatser interface {
+	// CommitBatchStats are the WAL group-commit batcher's counters; ok is
+	// false unless PageConfig.GroupWindow > 0.
 	CommitBatchStats() (txmldb.GroupStats, bool)
-}
-
-// healthReporter is optionally implemented by engines (txmldb.DB is one)
-// carrying a resilience tier: /readyz and the txserved_health_* /
-// txserved_breaker_* metrics are derived from its snapshots, and 503
-// responses take their Retry-After from RetryAfter.
-type healthReporter interface {
+	// Health snapshots the resilience tier (ok is false when it is off):
+	// /readyz and the txserved_health_* / txserved_breaker_* metrics derive
+	// from it, and 503 responses take their Retry-After from RetryAfter.
 	Health() (txmldb.HealthSnapshot, bool)
 	RetryAfter() time.Duration
 }
 
-// shardStatser is optionally implemented by sharded engines
-// (txmldb.ShardedDB is one): the txserved_shard_* per-shard metric family
+var (
+	_ Engine = (*txmldb.DB)(nil)
+	_ Engine = (*txmldb.ShardedDB)(nil)
+)
+
+// shardStatser is the one optional engine surface, implemented by sharded
+// engines (txmldb.ShardedDB): the txserved_shard_* per-shard metric family
 // is derived from its snapshots, and /readyz reports shard-aware
 // readiness — one failing shard degrades the ensemble (single-document
 // traffic for the other shards still succeeds), it does not take
@@ -235,154 +213,147 @@ func New(engine Engine, cfg Config) *Server {
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // registerEngineMetrics pulls engine-owned counters — the storage tier's
-// buffer pool and the shared version-reconstruction cache — into the
-// /metrics exposition, when the engine exposes them.
+// buffer pool, the worker pool, checkpoints, group commit, the resilience
+// tier and the shared version-reconstruction cache — into the /metrics
+// exposition; a family whose subsystem is off is left out.
 func (s *Server) registerEngineMetrics() {
-	if es, ok := s.engine.(ioStatser); ok {
-		s.reg.CounterFunc("txserved_pagestore_cache_hits_total",
-			"extent reads served by the buffer pool",
-			func() int64 { return es.IOStats().CacheHits })
-		s.reg.CounterFunc("txserved_pagestore_cache_misses_total",
-			"extent reads that fell through the buffer pool to the backend",
-			func() int64 { return es.IOStats().CacheMisses })
-		s.reg.CounterFunc("txserved_pagestore_cache_evictions_total",
-			"extents evicted from the buffer pool by its page budget",
-			func() int64 { return es.IOStats().CacheEvictions })
-		s.reg.CounterFunc("txserved_pagestore_extent_reads_total",
-			"extent reads that touched the simulated disk",
-			func() int64 { return es.IOStats().ExtentRead })
+	e := s.engine
+	s.reg.CounterFunc("txserved_pagestore_cache_hits_total",
+		"extent reads served by the buffer pool",
+		func() int64 { return e.IOStats().CacheHits })
+	s.reg.CounterFunc("txserved_pagestore_cache_misses_total",
+		"extent reads that fell through the buffer pool to the backend",
+		func() int64 { return e.IOStats().CacheMisses })
+	s.reg.CounterFunc("txserved_pagestore_cache_evictions_total",
+		"extents evicted from the buffer pool by its page budget",
+		func() int64 { return e.IOStats().CacheEvictions })
+	s.reg.CounterFunc("txserved_pagestore_extent_reads_total",
+		"extent reads that touched the simulated disk",
+		func() int64 { return e.IOStats().ExtentRead })
+
+	pool := func(f func(txmldb.PoolStats) int64) func() int64 {
+		return func() int64 { return f(e.PoolStats()) }
 	}
-	if ps, ok := s.engine.(poolStatser); ok {
-		pool := func(f func(txmldb.PoolStats) int64) func() int64 {
-			return func() int64 { return f(ps.PoolStats()) }
+	s.reg.GaugeFunc("txserved_pool_workers",
+		"worker-pool concurrency bound",
+		pool(func(st txmldb.PoolStats) int64 { return int64(st.Workers) }))
+	s.reg.CounterFunc("txserved_pool_tasks_submitted_total",
+		"tasks handed to the worker pool",
+		pool(func(st txmldb.PoolStats) int64 { return st.Submitted }))
+	s.reg.CounterFunc("txserved_pool_tasks_completed_total",
+		"worker-pool tasks that ran to completion",
+		pool(func(st txmldb.PoolStats) int64 { return st.Completed }))
+	s.reg.CounterFunc("txserved_pool_tasks_cancelled_total",
+		"worker-pool tasks abandoned by cancellation or an earlier error",
+		pool(func(st txmldb.PoolStats) int64 { return st.Cancelled }))
+	s.reg.CounterFunc("txserved_pool_tasks_panicked_total",
+		"worker-pool tasks that panicked (captured and returned as errors)",
+		pool(func(st txmldb.PoolStats) int64 { return st.Panicked }))
+	s.reg.GaugeFunc("txserved_pool_active_tasks",
+		"worker-pool tasks executing now (pool depth)",
+		pool(func(st txmldb.PoolStats) int64 { return st.Active }))
+	s.reg.GaugeFunc("txserved_pool_queued_tasks",
+		"tasks waiting for a worker slot now",
+		pool(func(st txmldb.PoolStats) int64 { return st.Queued }))
+	s.reg.CounterFunc("txserved_pool_queue_wait_ms_total",
+		"total time tasks spent waiting for a worker slot",
+		pool(func(st txmldb.PoolStats) int64 { return st.QueueWait.Milliseconds() }))
+	// Per-operator speedup proxy (task-time / wall-time), scaled by
+	// 1000 because the registry is integer-valued.
+	for _, scope := range []string{"scan", "history", "diff", "reconstruct", "plan"} {
+		scope := scope
+		//txvet:ignore metricname per-scope gauge family: prefix is literal and the suffixes are the compile-time scope constants above
+		s.reg.GaugeFunc("txserved_pool_speedup_milli_"+scope,
+			"per-operator parallel speedup proxy x1000 (task time / wall time) for scope "+scope,
+			func() int64 {
+				sc, ok := e.PoolStats().Scopes[scope]
+				if !ok {
+					return 0
+				}
+				return int64(sc.Speedup() * 1000)
+			})
+	}
+
+	if _, durable := e.CheckpointStats(); durable {
+		cks := func(f func(txmldb.CheckpointStats) int64) func() int64 {
+			return func() int64 { st, _ := e.CheckpointStats(); return f(st) }
 		}
-		s.reg.GaugeFunc("txserved_pool_workers",
-			"worker-pool concurrency bound",
-			pool(func(st txmldb.PoolStats) int64 { return int64(st.Workers) }))
-		s.reg.CounterFunc("txserved_pool_tasks_submitted_total",
-			"tasks handed to the worker pool",
-			pool(func(st txmldb.PoolStats) int64 { return st.Submitted }))
-		s.reg.CounterFunc("txserved_pool_tasks_completed_total",
-			"worker-pool tasks that ran to completion",
-			pool(func(st txmldb.PoolStats) int64 { return st.Completed }))
-		s.reg.CounterFunc("txserved_pool_tasks_cancelled_total",
-			"worker-pool tasks abandoned by cancellation or an earlier error",
-			pool(func(st txmldb.PoolStats) int64 { return st.Cancelled }))
-		s.reg.CounterFunc("txserved_pool_tasks_panicked_total",
-			"worker-pool tasks that panicked (captured and returned as errors)",
-			pool(func(st txmldb.PoolStats) int64 { return st.Panicked }))
-		s.reg.GaugeFunc("txserved_pool_active_tasks",
-			"worker-pool tasks executing now (pool depth)",
-			pool(func(st txmldb.PoolStats) int64 { return st.Active }))
-		s.reg.GaugeFunc("txserved_pool_queued_tasks",
-			"tasks waiting for a worker slot now",
-			pool(func(st txmldb.PoolStats) int64 { return st.Queued }))
-		s.reg.CounterFunc("txserved_pool_queue_wait_ms_total",
-			"total time tasks spent waiting for a worker slot",
-			pool(func(st txmldb.PoolStats) int64 { return st.QueueWait.Milliseconds() }))
-		// Per-operator speedup proxy (task-time / wall-time), scaled by
-		// 1000 because the registry is integer-valued.
-		for _, scope := range []string{"scan", "history", "diff", "reconstruct", "plan"} {
-			scope := scope
-			//txvet:ignore metricname per-scope gauge family: prefix is literal and the suffixes are the compile-time scope constants above
-			s.reg.GaugeFunc("txserved_pool_speedup_milli_"+scope,
-				"per-operator parallel speedup proxy x1000 (task time / wall time) for scope "+scope,
-				func() int64 {
-					sc, ok := ps.PoolStats().Scopes[scope]
-					if !ok {
-						return 0
-					}
-					return int64(sc.Speedup() * 1000)
-				})
+		s.reg.CounterFunc("txserved_checkpoint_total",
+			"checkpoints published",
+			cks(func(st txmldb.CheckpointStats) int64 { return int64(st.Runs) }))
+		s.reg.CounterFunc("txserved_checkpoint_errors_total",
+			"checkpoint attempts that failed",
+			cks(func(st txmldb.CheckpointStats) int64 { return int64(st.Errors) }))
+		s.reg.GaugeFunc("txserved_checkpoint_last_bytes",
+			"size of the last published checkpoint image",
+			cks(func(st txmldb.CheckpointStats) int64 { return st.LastBytes }))
+		s.reg.GaugeFunc("txserved_checkpoint_last_ms",
+			"wall time of the last checkpoint run in milliseconds",
+			cks(func(st txmldb.CheckpointStats) int64 { return st.LastDuration.Milliseconds() }))
+		s.reg.CounterFunc("txserved_checkpoint_segments_deleted_total",
+			"write-ahead-log segments reclaimed by checkpoint compaction",
+			cks(func(st txmldb.CheckpointStats) int64 { return int64(st.SegmentsDeleted) }))
+		s.reg.GaugeFunc("txserved_wal_segments",
+			"write-ahead-log segments currently on disk",
+			e.WALSegments)
+	}
+
+	if _, batching := e.CommitBatchStats(); batching {
+		gcs := func(f func(txmldb.GroupStats) int64) func() int64 {
+			return func() int64 { st, _ := e.CommitBatchStats(); return f(st) }
 		}
+		s.reg.CounterFunc("txserved_commit_batch_commits_total",
+			"commits that went through the WAL group-commit batcher",
+			gcs(func(st txmldb.GroupStats) int64 { return st.Commits }))
+		s.reg.CounterFunc("txserved_commit_batch_batches_total",
+			"batches flushed, i.e. fsyncs actually issued",
+			gcs(func(st txmldb.GroupStats) int64 { return st.Batches }))
+		s.reg.CounterFunc("txserved_commit_batch_failures_total",
+			"commits that failed with their batch's shared fsync error",
+			gcs(func(st txmldb.GroupStats) int64 { return st.Failures }))
+		s.reg.GaugeFunc("txserved_commit_batch_max_batch",
+			"largest number of commits amortized into a single fsync",
+			gcs(func(st txmldb.GroupStats) int64 { return st.MaxBatch }))
 	}
-	if ck, ok := s.engine.(checkpointStatser); ok {
-		if _, durable := ck.CheckpointStats(); durable {
-			cks := func(f func(txmldb.CheckpointStats) int64) func() int64 {
-				return func() int64 { st, _ := ck.CheckpointStats(); return f(st) }
-			}
-			s.reg.CounterFunc("txserved_checkpoint_total",
-				"checkpoints published",
-				cks(func(st txmldb.CheckpointStats) int64 { return int64(st.Runs) }))
-			s.reg.CounterFunc("txserved_checkpoint_errors_total",
-				"checkpoint attempts that failed",
-				cks(func(st txmldb.CheckpointStats) int64 { return int64(st.Errors) }))
-			s.reg.GaugeFunc("txserved_checkpoint_last_bytes",
-				"size of the last published checkpoint image",
-				cks(func(st txmldb.CheckpointStats) int64 { return st.LastBytes }))
-			s.reg.GaugeFunc("txserved_checkpoint_last_ms",
-				"wall time of the last checkpoint run in milliseconds",
-				cks(func(st txmldb.CheckpointStats) int64 { return st.LastDuration.Milliseconds() }))
-			s.reg.CounterFunc("txserved_checkpoint_segments_deleted_total",
-				"write-ahead-log segments reclaimed by checkpoint compaction",
-				cks(func(st txmldb.CheckpointStats) int64 { return int64(st.SegmentsDeleted) }))
-			s.reg.GaugeFunc("txserved_wal_segments",
-				"write-ahead-log segments currently on disk",
-				func() int64 { return ck.WALSegments() })
+
+	if _, enabled := e.Health(); enabled {
+		hsnap := func(f func(txmldb.HealthSnapshot) int64) func() int64 {
+			return func() int64 { snap, _ := e.Health(); return f(snap) }
 		}
+		s.reg.GaugeFunc("txserved_health_state",
+			"overall engine health (0 healthy, 1 degraded, 2 failing)",
+			hsnap(func(h txmldb.HealthSnapshot) int64 { return int64(h.State) }))
+		s.reg.GaugeFunc("txserved_health_state_backend",
+			"backend I/O path health (0 healthy, 1 degraded, 2 failing)",
+			hsnap(func(h txmldb.HealthSnapshot) int64 { return int64(h.Backend.State) }))
+		s.reg.GaugeFunc("txserved_health_state_data",
+			"data integrity health (0 healthy, 1 degraded/corrupt, 2 failing)",
+			hsnap(func(h txmldb.HealthSnapshot) int64 { return int64(h.Data.State) }))
+		s.reg.GaugeFunc("txserved_breaker_state",
+			"backend-read circuit breaker position (0 closed, 1 half-open, 2 open)",
+			hsnap(func(h txmldb.HealthSnapshot) int64 { return int64(h.Breaker.State) }))
+		s.reg.CounterFunc("txserved_breaker_opens_total",
+			"times the circuit breaker tripped open",
+			hsnap(func(h txmldb.HealthSnapshot) int64 { return h.Breaker.Opens }))
+		s.reg.CounterFunc("txserved_breaker_fast_fails_total",
+			"backend reads rejected fast while the breaker was open",
+			hsnap(func(h txmldb.HealthSnapshot) int64 { return h.Breaker.FastFails }))
+		s.reg.CounterFunc("txserved_breaker_probes_total",
+			"half-open probe reads admitted by the breaker",
+			hsnap(func(h txmldb.HealthSnapshot) int64 { return h.Breaker.Probes }))
+		s.reg.CounterFunc("txserved_degraded_reads_total",
+			"reads served from cache or the current snapshot while degraded",
+			hsnap(func(h txmldb.HealthSnapshot) int64 { return h.DegradedServes }))
+		s.reg.CounterFunc("txserved_degraded_rejected_total",
+			"writes and cache-miss reads rejected while degraded",
+			hsnap(func(h txmldb.HealthSnapshot) int64 { return h.DegradedRejects }))
 	}
-	if gs, ok := s.engine.(groupStatser); ok {
-		if _, batching := gs.CommitBatchStats(); batching {
-			gcs := func(f func(txmldb.GroupStats) int64) func() int64 {
-				return func() int64 { st, _ := gs.CommitBatchStats(); return f(st) }
-			}
-			s.reg.CounterFunc("txserved_commit_batch_commits_total",
-				"commits that went through the WAL group-commit batcher",
-				gcs(func(st txmldb.GroupStats) int64 { return st.Commits }))
-			s.reg.CounterFunc("txserved_commit_batch_batches_total",
-				"batches flushed, i.e. fsyncs actually issued",
-				gcs(func(st txmldb.GroupStats) int64 { return st.Batches }))
-			s.reg.CounterFunc("txserved_commit_batch_failures_total",
-				"commits that failed with their batch's shared fsync error",
-				gcs(func(st txmldb.GroupStats) int64 { return st.Failures }))
-			s.reg.GaugeFunc("txserved_commit_batch_max_batch",
-				"largest number of commits amortized into a single fsync",
-				gcs(func(st txmldb.GroupStats) int64 { return st.MaxBatch }))
-		}
-	}
-	if hr, ok := s.engine.(healthReporter); ok {
-		if _, enabled := hr.Health(); enabled {
-			hsnap := func(f func(txmldb.HealthSnapshot) int64) func() int64 {
-				return func() int64 { snap, _ := hr.Health(); return f(snap) }
-			}
-			s.reg.GaugeFunc("txserved_health_state",
-				"overall engine health (0 healthy, 1 degraded, 2 failing)",
-				hsnap(func(h txmldb.HealthSnapshot) int64 { return int64(h.State) }))
-			s.reg.GaugeFunc("txserved_health_state_backend",
-				"backend I/O path health (0 healthy, 1 degraded, 2 failing)",
-				hsnap(func(h txmldb.HealthSnapshot) int64 { return int64(h.Backend.State) }))
-			s.reg.GaugeFunc("txserved_health_state_data",
-				"data integrity health (0 healthy, 1 degraded/corrupt, 2 failing)",
-				hsnap(func(h txmldb.HealthSnapshot) int64 { return int64(h.Data.State) }))
-			s.reg.GaugeFunc("txserved_breaker_state",
-				"backend-read circuit breaker position (0 closed, 1 half-open, 2 open)",
-				hsnap(func(h txmldb.HealthSnapshot) int64 { return int64(h.Breaker.State) }))
-			s.reg.CounterFunc("txserved_breaker_opens_total",
-				"times the circuit breaker tripped open",
-				hsnap(func(h txmldb.HealthSnapshot) int64 { return h.Breaker.Opens }))
-			s.reg.CounterFunc("txserved_breaker_fast_fails_total",
-				"backend reads rejected fast while the breaker was open",
-				hsnap(func(h txmldb.HealthSnapshot) int64 { return h.Breaker.FastFails }))
-			s.reg.CounterFunc("txserved_breaker_probes_total",
-				"half-open probe reads admitted by the breaker",
-				hsnap(func(h txmldb.HealthSnapshot) int64 { return h.Breaker.Probes }))
-			s.reg.CounterFunc("txserved_degraded_reads_total",
-				"reads served from cache or the current snapshot while degraded",
-				hsnap(func(h txmldb.HealthSnapshot) int64 { return h.DegradedServes }))
-			s.reg.CounterFunc("txserved_degraded_rejected_total",
-				"writes and cache-miss reads rejected while degraded",
-				hsnap(func(h txmldb.HealthSnapshot) int64 { return h.DegradedRejects }))
-		}
-	}
-	cs, ok := s.engine.(cacheStatser)
-	if !ok {
-		return
-	}
-	if _, enabled := cs.CacheStats(); !enabled {
+
+	if _, enabled := e.CacheStats(); !enabled {
 		return
 	}
 	vc := func(f func(txmldb.CacheStats) int64) func() int64 {
-		return func() int64 { st, _ := cs.CacheStats(); return f(st) }
+		return func() int64 { st, _ := e.CacheStats(); return f(st) }
 	}
 	s.reg.CounterFunc("txserved_vcache_lookups_total",
 		"version-cache lookups", vc(func(st txmldb.CacheStats) int64 { return st.Lookups }))
@@ -642,7 +613,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err := s.gate.acquire(r.Context()); err != nil {
 		if errors.Is(err, errOverload) {
 			s.mRejected.Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.QueueWait+time.Second-1)/time.Second)))
+			w.Header().Set("Retry-After", retryAfterSecs(s.cfg.QueueWait))
 			writeError(w, http.StatusTooManyRequests, errorBody{Kind: "overload", Message: "server overloaded, retry later"})
 			return
 		}
@@ -681,6 +652,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	streamResult(w, res, elapsed)
 }
 
+// retryAfterSecs renders a Retry-After header value, rounding up to whole
+// seconds.
+func retryAfterSecs(d time.Duration) string {
+	return strconv.Itoa(int((d + time.Second - 1) / time.Second))
+}
+
 // statusClientClosedRequest is nginx's non-standard 499: the client
 // disconnected before the server produced a response.
 const statusClientClosedRequest = 499
@@ -706,11 +683,7 @@ func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err err
 		// (the breaker's remaining open window) tells well-behaved clients
 		// when the half-open probes could have recovered the engine.
 		s.mUnavailable.Inc()
-		retry := time.Second
-		if hr, ok := s.engine.(healthReporter); ok {
-			retry = hr.RetryAfter()
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfterSecs(s.engine.RetryAfter()))
 		writeError(w, http.StatusServiceUnavailable, errorBody{Kind: "unavailable", Message: err.Error()})
 	default:
 		s.mInternal.Inc()
@@ -795,9 +768,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":   "ok",
 		"uptime_s": int64(time.Since(s.start) / time.Second),
 	}
-	if dl, ok := s.engine.(docLister); ok {
-		resp["docs"] = len(dl.Docs())
-	}
+	resp["docs"] = len(s.engine.Docs())
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -813,28 +784,26 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	ready := !draining
 	resp := map[string]any{"draining": draining}
 	ss, sharded := s.engine.(shardStatser)
-	if hr, ok := s.engine.(healthReporter); ok {
-		if snap, enabled := hr.Health(); enabled {
-			if snap.State != txmldb.StateHealthy {
-				ready = false
-			}
-			if sharded && snap.State == txmldb.StateDegraded && !draining {
-				// Shard-aware readiness: the aggregate is Degraded whenever
-				// any single shard is sick, but the other shards keep serving
-				// their documents — staying ready avoids a one-shard outage
-				// draining the whole fleet. Only every shard failing (the
-				// aggregate Failing) takes readiness down.
-				ready = true
-			}
-			resp["state"] = snap.State.String()
-			resp["components"] = map[string]string{
-				"backend": snap.Backend.State.String(),
-				"data":    snap.Data.State.String(),
-			}
-			resp["breaker"] = snap.Breaker.State.String()
-			resp["degraded_reads"] = snap.DegradedServes
-			resp["degraded_rejects"] = snap.DegradedRejects
+	if snap, enabled := s.engine.Health(); enabled {
+		if snap.State != txmldb.StateHealthy {
+			ready = false
 		}
+		if sharded && snap.State == txmldb.StateDegraded && !draining {
+			// Shard-aware readiness: the aggregate is Degraded whenever any
+			// single shard is sick, but the other shards keep serving their
+			// documents — staying ready avoids a one-shard outage draining
+			// the whole fleet. Only every shard failing (the aggregate
+			// Failing) takes readiness down.
+			ready = true
+		}
+		resp["state"] = snap.State.String()
+		resp["components"] = map[string]string{
+			"backend": snap.Backend.State.String(),
+			"data":    snap.Data.State.String(),
+		}
+		resp["breaker"] = snap.Breaker.State.String()
+		resp["degraded_reads"] = snap.DegradedServes
+		resp["degraded_rejects"] = snap.DegradedRejects
 	}
 	if sharded {
 		shards := make([]map[string]any, 0, ss.Shards())
@@ -853,9 +822,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	resp["ready"] = ready
 	w.Header().Set("Content-Type", "application/json")
 	if !ready {
-		if hr, ok := s.engine.(healthReporter); ok {
-			w.Header().Set("Retry-After", strconv.Itoa(int((hr.RetryAfter()+time.Second-1)/time.Second)))
-		}
+		w.Header().Set("Retry-After", retryAfterSecs(s.engine.RetryAfter()))
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	json.NewEncoder(w).Encode(resp)

@@ -188,11 +188,20 @@ func TestParseErrorResponse(t *testing.T) {
 	}
 }
 
+// memEngine is an empty in-memory engine for stubs to embed: it answers
+// every Engine method a stub does not override.
+func memEngine() *txmldb.DB { return txmldb.Open(txmldb.Config{}) }
+
 // blockingEngine parks every query until release is closed, and reports
 // entry on entered.
 type blockingEngine struct {
+	*txmldb.DB
 	entered chan struct{}
 	release chan struct{}
+}
+
+func newBlockingEngine(entered int) *blockingEngine {
+	return &blockingEngine{DB: memEngine(), entered: make(chan struct{}, entered), release: make(chan struct{})}
 }
 
 func (e *blockingEngine) QueryContext(ctx context.Context, src string) (*txmldb.Result, error) {
@@ -208,12 +217,10 @@ func (e *blockingEngine) QueryContext(ctx context.Context, src string) (*txmldb.
 	}
 }
 
-func (e *blockingEngine) Explain(src string) (string, error) { return "stub", nil }
-
 // TestOverload429 saturates a 1-slot, 1-queue server and checks the third
 // request is rejected immediately with 429 + Retry-After.
 func TestOverload429(t *testing.T) {
-	eng := &blockingEngine{entered: make(chan struct{}, 16), release: make(chan struct{})}
+	eng := newBlockingEngine(16)
 	s := New(eng, Config{MaxInFlight: 1, MaxQueue: 1, QueueWait: 5 * time.Second, ErrorLog: discardLogger()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -273,7 +280,7 @@ func TestOverload429(t *testing.T) {
 // TestQueryTimeout checks a query that exceeds its deadline mid-execution
 // comes back 504 and leaves the server healthy.
 func TestQueryTimeout(t *testing.T) {
-	eng := &blockingEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	eng := newBlockingEngine(1)
 	s := New(eng, Config{QueryTimeout: 20 * time.Second, SlowQuery: -1, ErrorLog: discardLogger()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -321,17 +328,16 @@ func TestRealQueryTimeoutMidExecution(t *testing.T) {
 	}
 }
 
-type panicEngine struct{}
+type panicEngine struct{ *txmldb.DB }
 
 func (panicEngine) QueryContext(ctx context.Context, src string) (*txmldb.Result, error) {
 	panic("boom")
 }
-func (panicEngine) Explain(src string) (string, error) { return "", nil }
 
 // TestPanicRecovery checks a handler panic becomes a 500, is counted, and
 // does not kill the server.
 func TestPanicRecovery(t *testing.T) {
-	s := New(panicEngine{}, Config{ErrorLog: discardLogger()})
+	s := New(panicEngine{memEngine()}, Config{ErrorLog: discardLogger()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/query?q=x")
@@ -431,7 +437,7 @@ func TestExplainEndpoint(t *testing.T) {
 // in-flight, triggers shutdown, and checks the in-flight request still
 // completes with 200 before Run returns.
 func TestGracefulShutdownDrains(t *testing.T) {
-	eng := &blockingEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	eng := newBlockingEngine(1)
 	s := New(eng, Config{ErrorLog: discardLogger()})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -557,7 +563,7 @@ func discardLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 // with status 499 in the access log — not reported as a timeout or an
 // internal error.
 func TestClientDisconnect499(t *testing.T) {
-	eng := &blockingEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	eng := newBlockingEngine(1)
 	var logMu sync.Mutex
 	var logBuf strings.Builder
 	s := New(eng, Config{

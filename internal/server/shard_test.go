@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -125,13 +124,10 @@ func shardStatsOf(t *testing.T, s *Server) []txmldb.ShardStats {
 
 // readyStub is a controllable engine for the shard-aware readiness rules.
 type readyStub struct {
+	*txmldb.DB
 	state txmldb.HealthState
 }
 
-func (e *readyStub) QueryContext(ctx context.Context, src string) (*txmldb.Result, error) {
-	return &txmldb.Result{}, nil
-}
-func (e *readyStub) Explain(src string) (string, error) { return "", nil }
 func (e *readyStub) Health() (txmldb.HealthSnapshot, bool) {
 	return txmldb.HealthSnapshot{State: e.state}, true
 }
@@ -163,10 +159,10 @@ func TestReadyzShardAware(t *testing.T) {
 		ready  bool
 		shards bool
 	}{
-		{"unsharded degraded", &readyStub{state: txmldb.StateDegraded}, http.StatusServiceUnavailable, false, false},
-		{"sharded degraded", &shardedStub{readyStub{state: txmldb.StateDegraded}}, http.StatusOK, true, true},
-		{"sharded failing", &shardedStub{readyStub{state: txmldb.StateFailing}}, http.StatusServiceUnavailable, false, true},
-		{"sharded healthy", &shardedStub{readyStub{state: txmldb.StateHealthy}}, http.StatusOK, true, true},
+		{"unsharded degraded", &readyStub{memEngine(), txmldb.StateDegraded}, http.StatusServiceUnavailable, false, false},
+		{"sharded degraded", &shardedStub{readyStub{memEngine(), txmldb.StateDegraded}}, http.StatusOK, true, true},
+		{"sharded failing", &shardedStub{readyStub{memEngine(), txmldb.StateFailing}}, http.StatusServiceUnavailable, false, true},
+		{"sharded healthy", &shardedStub{readyStub{memEngine(), txmldb.StateHealthy}}, http.StatusOK, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -70,10 +70,10 @@ func renderMatches(p *pattern.PNode, ms []pattern.Match) string {
 type engineSurface interface {
 	TPatternScanAll(p *pattern.PNode) ([]model.TEID, error)
 	PatternScan(p *pattern.PNode) ([]model.TEID, error)
-	ScanAll(p *pattern.PNode) ([]pattern.Match, error)
-	ScanT(p *pattern.PNode, t model.Time) ([]pattern.Match, error)
+	ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error)
+	ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) ([]pattern.Match, error)
 	ReconstructBatch(ctx context.Context, teids []model.TEID) ([]*xmltree.Node, error)
-	Versions(id model.DocID) ([]store.VersionInfo, error)
+	VersionsContext(ctx context.Context, id model.DocID) ([]store.VersionInfo, error)
 	Diff(a, b model.TEID) (*xmltree.Node, error)
 	Query(src string) (*plan.Result, error)
 }
@@ -100,7 +100,7 @@ func snapshot(t *testing.T, db engineSurface, ids []model.DocID) map[string]stri
 	out["tpatternscanall"] = sb.String()
 
 	// ScanAll: the raw merged matches.
-	ms, err := db.ScanAll(p)
+	ms, err := db.ScanAllContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func snapshot(t *testing.T, db engineSurface, ids []model.DocID) map[string]stri
 
 	// ScanT at a mid-corpus instant.
 	mid := model.Date(2001, 1, 2)
-	ts, err := db.ScanT(p, mid)
+	ts, err := db.ScanTContext(context.Background(), p, mid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func snapshot(t *testing.T, db engineSurface, ids []model.DocID) map[string]stri
 	// Diff between the first and last version of every document.
 	sb.Reset()
 	for _, id := range ids {
-		vs, err := db.Versions(id)
+		vs, err := db.VersionsContext(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,14 +134,16 @@ func (r *Router) Current(id model.DocID) (*xmltree.Node, store.VersionInfo, erro
 	return r.shards[s].Current(local)
 }
 
-// Versions implements plan.Engine.
-func (r *Router) Versions(id model.DocID) ([]store.VersionInfo, error) {
+// VersionsContext implements plan.Engine, routed to the home shard under
+// the caller's context. The router pins no epoch of its own, so an
+// unpinned ctx lists the live versions.
+func (r *Router) VersionsContext(ctx context.Context, id model.DocID) ([]store.VersionInfo, error) {
 	s, local, err := r.locate(id)
 	if err != nil {
 		return nil, err
 	}
 	defer r.gates[s].enter()()
-	return r.shards[s].Versions(local)
+	return r.shards[s].VersionsContext(ctx, local)
 }
 
 // --- scatter-gather scans ---
@@ -197,43 +199,28 @@ func (r *Router) translateMatches(s int, ms []pattern.Match) ([]pattern.Match, e
 	return out, nil
 }
 
-// ScanTContext implements plan.ContextScanner: the pattern against the
-// snapshot valid at t, across all shards.
+// ScanTContext implements plan.Engine: the pattern against the snapshot
+// valid at t, across all shards.
 func (r *Router) ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) ([]pattern.Match, error) {
 	return r.scatter(ctx, "shardscan", func(db *core.DB) ([]pattern.Match, error) {
 		return db.ScanTContext(ctx, p, t)
 	})
 }
 
-// ScanT implements plan.Engine by delegating to ScanTContext.
-func (r *Router) ScanT(p *pattern.PNode, t model.Time) ([]pattern.Match, error) {
-	return r.ScanTContext(context.Background(), p, t)
-}
-
-// ScanAllContext implements plan.ContextScanner: the pattern against all
-// versions of all documents, across all shards.
+// ScanAllContext implements plan.Engine: the pattern against all versions
+// of all documents, across all shards.
 func (r *Router) ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
 	return r.scatter(ctx, "shardscan", func(db *core.DB) ([]pattern.Match, error) {
 		return db.ScanAllContext(ctx, p)
 	})
 }
 
-// ScanAll implements plan.Engine by delegating to ScanAllContext.
-func (r *Router) ScanAll(p *pattern.PNode) ([]pattern.Match, error) {
-	return r.ScanAllContext(context.Background(), p)
-}
-
-// ScanCurrentContext implements plan.ContextScanner: the non-temporal
-// PatternScan across all shards.
+// ScanCurrentContext implements plan.Engine: the non-temporal PatternScan
+// across all shards.
 func (r *Router) ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
 	return r.scatter(ctx, "shardscan", func(db *core.DB) ([]pattern.Match, error) {
 		return db.ScanCurrentContext(ctx, p)
 	})
-}
-
-// ScanCurrent implements plan.Engine by delegating to ScanCurrentContext.
-func (r *Router) ScanCurrent(p *pattern.PNode) ([]pattern.Match, error) {
-	return r.ScanCurrentContext(context.Background(), p)
 }
 
 // --- the TEID-level operators of Section 6.1 ---
@@ -241,7 +228,7 @@ func (r *Router) ScanCurrent(p *pattern.PNode) ([]pattern.Match, error) {
 // TPatternScan matches the pattern at time t and returns projected TEIDs
 // in the global space.
 func (r *Router) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, error) {
-	ms, err := r.ScanT(p, t)
+	ms, err := r.ScanTContext(context.Background(), p, t)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +238,7 @@ func (r *Router) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, err
 // TPatternScanAll matches against all versions of all documents; each
 // TEID is stamped with the start of its match's temporal overlap.
 func (r *Router) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := r.ScanAll(p)
+	ms, err := r.ScanAllContext(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +247,7 @@ func (r *Router) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
 
 // PatternScan matches against the current database state.
 func (r *Router) PatternScan(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := r.ScanCurrent(p)
+	ms, err := r.ScanCurrentContext(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -338,13 +325,13 @@ func (r *Router) ReconstructContext(ctx context.Context, teid model.TEID) (*xmlt
 	return r.shards[s].ReconstructContext(ctx, teid)
 }
 
-// ReconstructVersion implements plan.Engine.
+// ReconstructVersion rebuilds one document version on its owning shard.
 func (r *Router) ReconstructVersion(id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
 	return r.ReconstructVersionContext(context.Background(), id, ver)
 }
 
-// ReconstructVersionContext implements plan.ContextReconstructor, routed
-// to the owning shard's cache-aware reconstruction.
+// ReconstructVersionContext implements plan.Engine, routed to the owning
+// shard's cache-aware reconstruction.
 func (r *Router) ReconstructVersionContext(ctx context.Context, id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
 	s, local, err := r.locate(id)
 	if err != nil {
@@ -362,7 +349,7 @@ func (r *Router) ReconstructBatch(ctx context.Context, teids []model.TEID) ([]*x
 	})
 }
 
-// PrefetchVersions implements plan.Prefetcher: keys group by owning
+// PrefetchVersions implements plan.Engine: keys group by owning
 // shard, each group prefetches on its shard's pool, and the sink is
 // serialized by a router-level mutex (the contract is that it is never
 // called concurrently) with keys translated back to the global space.
@@ -497,7 +484,7 @@ func (r *Router) CurrentTS(eid model.EID) (store.VersionInfo, error) {
 
 // Diff computes the edit script between two element versions, possibly
 // on different shards: the pair reconstructs concurrently on the router
-// pool, the (pure) tree diff runs on shard 0.
+// pool, then the (pure) tree diff runs on the caller.
 func (r *Router) Diff(a, b model.TEID) (*xmltree.Node, error) {
 	return r.DiffContext(context.Background(), a, b)
 }
@@ -511,27 +498,22 @@ func (r *Router) DiffContext(ctx context.Context, a, b model.TEID) (*xmltree.Nod
 	if err != nil {
 		return nil, err
 	}
-	return r.DiffNodes(nodes[0], nodes[1])
-}
-
-// DiffNodes implements plan.Engine. The tree diff is pure computation;
-// shard 0 hosts it.
-func (r *Router) DiffNodes(a, b *xmltree.Node) (*xmltree.Node, error) {
-	return r.shards[0].DiffNodes(a, b)
+	return diff.Elements(nodes[0], nodes[1])
 }
 
 // --- queries ---
 
 // Query parses and executes a temporal query against the sharded
-// ensemble: the plan executor runs unmodified on the router.
+// ensemble: QueryContext without a caller context.
 func (r *Router) Query(src string) (*plan.Result, error) {
-	return plan.RunString(r, src)
+	return r.QueryContext(context.Background(), src)
 }
 
-// QueryContext is Query under a caller context. Degraded-serving
-// accounting happens inside each shard's engine (cache-hit fallbacks note
-// themselves); the result's Degraded flag reflects the ensemble via the
-// router's DegradedMode.
+// QueryContext parses and executes a temporal query under a caller
+// context: the plan executor runs unmodified on the router.
+// Degraded-serving accounting happens inside each shard's engine
+// (cache-hit fallbacks note themselves); the result's Degraded flag
+// reflects the ensemble via the router's DegradedMode.
 func (r *Router) QueryContext(ctx context.Context, src string) (*plan.Result, error) {
 	return plan.RunStringContext(ctx, r, src)
 }

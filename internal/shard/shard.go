@@ -53,6 +53,7 @@ import (
 	"txmldb/internal/core"
 	"txmldb/internal/model"
 	"txmldb/internal/parallel"
+	"txmldb/internal/plan"
 	"txmldb/internal/resilience"
 )
 
@@ -142,7 +143,7 @@ func (g *gate) enter() func() {
 
 // Router partitions documents across N engines and scatter-gathers the
 // multi-document temporal operators. It implements plan.Engine and the
-// optional executor extensions, so it is a drop-in engine for the query
+// server's engine surface, so it is a drop-in engine for the query
 // planner and the HTTP server.
 type Router struct {
 	cfg    Config
@@ -161,6 +162,8 @@ type Router struct {
 	logf   *os.File        // docmap.log appender; nil on in-memory routers
 	logw   *bufio.Writer
 }
+
+var _ plan.Engine = (*Router)(nil)
 
 // Open creates an empty in-memory sharded database.
 func Open(cfg Config) *Router {
@@ -530,7 +533,7 @@ func (r *Router) Health() (resilience.Snapshot, bool) {
 	return agg, true
 }
 
-// DegradedMode implements plan.DegradedReporter: the service is degraded
+// DegradedMode implements plan.Engine: the service is degraded
 // while any shard is, so results that may have had coverage limited by a
 // sick shard are flagged.
 func (r *Router) DegradedMode() bool {

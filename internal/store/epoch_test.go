@@ -43,7 +43,7 @@ func TestEpochPinnedReadIgnoresLaterWrites(t *testing.T) {
 		t.Fatal("pinned read content differs from version 2")
 	}
 	// ...but visible to an unpinned one.
-	cur, err := s.ReconstructAt(id, feb10)
+	cur, err := s.ReconstructAtContext(context.Background(), id, feb10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestEpochPinnedDeletionInvisible(t *testing.T) {
 	}
 
 	// Unpinned: the document ended at jan15.
-	if _, err := s.ReconstructAt(id, jan31); !errors.Is(err, ErrNoVersion) {
+	if _, err := s.ReconstructAtContext(context.Background(), id, jan31); !errors.Is(err, ErrNoVersion) {
 		t.Fatalf("unpinned read past deletion: %v, want ErrNoVersion", err)
 	}
 	// Pinned before the deletion: the document is still live.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -161,7 +162,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := s.DocHistory(id, model.Interval{Start: 1000, End: 1000 + writes + 1}); err != nil {
+				if _, err := s.DocHistoryContext(context.Background(), id, model.Interval{Start: 1000, End: 1000 + writes + 1}); err != nil {
 					errs <- err
 					return
 				}

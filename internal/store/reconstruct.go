@@ -148,22 +148,17 @@ func (s *Store) reconstruct(ctx context.Context, d *docEntry, ver model.VersionN
 	return VersionTree{Info: d.infoAt(int(ver)-1, e), Root: tree}, nil
 }
 
-// ReconstructFrom rebuilds version `to` of the document by replaying
-// completed deltas forward from an already-materialized base version —
-// the dynamic form of the paper's snapshot-bounding argument (Section
-// 7.3.3): a caller holding version v′ pays only the v′→to chain instead
-// of the full replay from the nearest stored snapshot. The base tree is
-// not modified; the returned tree is owned by the caller.
+// ReconstructFromContext rebuilds version `to` of the document by
+// replaying completed deltas forward from an already-materialized base
+// version — the dynamic form of the paper's snapshot-bounding argument
+// (Section 7.3.3): a caller holding version v′ pays only the v′→to chain
+// instead of the full replay from the nearest stored snapshot. The base
+// tree is not modified; the returned tree is owned by the caller. ctx
+// bounds retry backoff and carries the epoch pin; the circuit breaker
+// applies.
 //
 // The version-reconstruction cache uses this for nearest-cached-ancestor
-// misses, and history walks can use it to reuse the previous iteration's
-// tree. base.Info.Ver must be at most `to`.
-func (s *Store) ReconstructFrom(id model.DocID, base VersionTree, to model.VersionNo) (VersionTree, error) {
-	return s.ReconstructFromContext(context.Background(), id, base, to)
-}
-
-// ReconstructFromContext is ReconstructFrom honoring ctx in retry backoff
-// and the circuit breaker.
+// misses. base.Info.Ver must be at most `to`.
 func (s *Store) ReconstructFromContext(ctx context.Context, id model.DocID, base VersionTree, to model.VersionNo) (VersionTree, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -194,12 +189,8 @@ func (s *Store) ReconstructFromContext(ctx context.Context, id model.DocID, base
 	return VersionTree{Info: d.infoAt(int(to)-1, e), Root: tree}, nil
 }
 
-// ReconstructAt rebuilds the version of the document valid at time t.
-func (s *Store) ReconstructAt(id model.DocID, t model.Time) (VersionTree, error) {
-	return s.ReconstructAtContext(context.Background(), id, t)
-}
-
-// ReconstructAtContext is ReconstructAt honoring ctx.
+// ReconstructAtContext rebuilds the version of the document valid at time
+// t, honoring ctx.
 func (s *Store) ReconstructAtContext(ctx context.Context, id model.DocID, t model.Time) (VersionTree, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -214,15 +205,11 @@ func (s *Store) ReconstructAtContext(ctx context.Context, id model.DocID, t mode
 	return s.reconstruct(ctx, d, v.Ver)
 }
 
-// DocHistory returns all versions of the document valid in [from, to),
-// most recent first — the output order of the paper's DocHistory algorithm
-// (Section 7.3.4), which falls out of backward reconstruction.
-func (s *Store) DocHistory(id model.DocID, iv model.Interval) ([]VersionTree, error) {
-	return s.DocHistoryContext(context.Background(), id, iv)
-}
-
-// DocHistoryContext is DocHistory honoring ctx in retry backoff and the
-// circuit breaker.
+// DocHistoryContext returns all versions of the document valid in
+// [from, to), most recent first — the output order of the paper's
+// DocHistory algorithm (Section 7.3.4), which falls out of backward
+// reconstruction. ctx bounds retry backoff and carries the epoch pin; the
+// circuit breaker applies.
 func (s *Store) DocHistoryContext(ctx context.Context, id model.DocID, iv model.Interval) ([]VersionTree, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -274,16 +261,12 @@ func (s *Store) DocHistoryContext(ctx context.Context, id model.DocID, iv model.
 	return out, nil
 }
 
-// ElementHistory returns all versions of the element valid in [from, to),
-// most recent first. Per Section 7.3.5 it reconstructs the document
-// versions and filters the subtree rooted at the element — "even if it was
-// possible to optimize this so that only the desired subtrees are
-// reconstructed, the whole deltas would have to be read anyway".
-func (s *Store) ElementHistory(eid model.EID, iv model.Interval) ([]VersionTree, error) {
-	return s.ElementHistoryContext(context.Background(), eid, iv)
-}
-
-// ElementHistoryContext is ElementHistory honoring ctx.
+// ElementHistoryContext returns all versions of the element valid in
+// [from, to), most recent first, honoring ctx. Per Section 7.3.5 it
+// reconstructs the document versions and filters the subtree rooted at the
+// element — "even if it was possible to optimize this so that only the
+// desired subtrees are reconstructed, the whole deltas would have to be
+// read anyway".
 func (s *Store) ElementHistoryContext(ctx context.Context, eid model.EID, iv model.Interval) ([]VersionTree, error) {
 	docVersions, err := s.DocHistoryContext(ctx, eid.Doc, iv)
 	if err != nil {

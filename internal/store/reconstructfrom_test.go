@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -40,7 +41,7 @@ func TestReconstructFromMatchesReconstructVersion(t *testing.T) {
 					t.Fatal(err)
 				}
 				for to := from; to <= n; to++ {
-					got, err := s.ReconstructFrom(id, base, to)
+					got, err := s.ReconstructFromContext(context.Background(), id, base, to)
 					if err != nil {
 						t.Fatalf("ReconstructFrom(%d→%d): %v", from, to, err)
 					}
@@ -69,7 +70,7 @@ func TestReconstructFromDoesNotMutateBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshot := base.Root.Clone()
-	if _, err := s.ReconstructFrom(id, base, 6); err != nil {
+	if _, err := s.ReconstructFromContext(context.Background(), id, base, 6); err != nil {
 		t.Fatal(err)
 	}
 	if !xmltree.Equal(base.Root, snapshot) {
@@ -83,16 +84,16 @@ func TestReconstructFromErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReconstructFrom(id+99, base, 4); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReconstructFromContext(context.Background(), id+99, base, 4); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown doc: err = %v, want ErrNotFound", err)
 	}
-	if _, err := s.ReconstructFrom(id, base, 99); err == nil {
+	if _, err := s.ReconstructFromContext(context.Background(), id, base, 99); err == nil {
 		t.Fatal("out-of-range target accepted")
 	}
-	if _, err := s.ReconstructFrom(id, base, 2); err == nil {
+	if _, err := s.ReconstructFromContext(context.Background(), id, base, 2); err == nil {
 		t.Fatal("base newer than target accepted")
 	}
-	if _, err := s.ReconstructFrom(id, VersionTree{}, 4); err == nil {
+	if _, err := s.ReconstructFromContext(context.Background(), id, VersionTree{}, 4); err == nil {
 		t.Fatal("zero base accepted")
 	}
 }

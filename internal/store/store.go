@@ -658,8 +658,8 @@ func (s *Store) Docs() []model.DocID {
 }
 
 // Current returns a copy of the live current version of the document and
-// its version info. It fails for deleted documents; use ReconstructAt for
-// historical access.
+// its version info. It fails for deleted documents; use
+// ReconstructAtContext for historical access.
 func (s *Store) Current(id model.DocID) (*xmltree.Node, VersionInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -711,13 +711,8 @@ func (s *Store) VersionsContext(ctx context.Context, id model.DocID) ([]VersionI
 	return out, nil
 }
 
-// VersionAt returns the version valid at time t.
-func (s *Store) VersionAt(id model.DocID, t model.Time) (VersionInfo, error) {
-	return s.VersionAtContext(context.Background(), id, t)
-}
-
-// VersionAtContext is VersionAt honoring an epoch pin carried by ctx:
-// selection is clamped to the versions published at or before the pin, and
+// VersionAtContext returns the version valid at time t, honoring an epoch
+// pin carried by ctx: selection is clamped to the versions published at or before the pin, and
 // the returned info reads as it did at the pin.
 func (s *Store) VersionAtContext(ctx context.Context, id model.DocID, t model.Time) (VersionInfo, error) {
 	s.mu.RLock()

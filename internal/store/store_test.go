@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -109,7 +110,7 @@ func TestPutAfterDeleteCreatesNewIncarnation(t *testing.T) {
 		t.Fatalf("Lookup = %d, want %d", got, id2)
 	}
 	// The old incarnation's history stays queryable.
-	if _, err := s.ReconstructAt(id1, jan1); err != nil {
+	if _, err := s.ReconstructAtContext(context.Background(), id1, jan1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -206,7 +207,7 @@ func TestReconstructAtTimes(t *testing.T) {
 		{feb10, map[string]string{"Napoli": "18"}},
 	}
 	for _, c := range cases {
-		vt, err := s.ReconstructAt(id, c.t)
+		vt, err := s.ReconstructAtContext(context.Background(), id, c.t)
 		if err != nil {
 			t.Fatalf("at %s: %v", c.t, err)
 		}
@@ -214,7 +215,7 @@ func TestReconstructAtTimes(t *testing.T) {
 			t.Fatalf("at %s: got %s", c.t, vt.Root)
 		}
 	}
-	if _, err := s.ReconstructAt(id, jan1-1); !errors.Is(err, ErrNoVersion) {
+	if _, err := s.ReconstructAtContext(context.Background(), id, jan1-1); !errors.Is(err, ErrNoVersion) {
 		t.Fatalf("before creation: err = %v", err)
 	}
 }
@@ -224,10 +225,10 @@ func TestReconstructAfterDocDelete(t *testing.T) {
 	if err := s.Delete(id, feb10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReconstructAt(id, feb10); !errors.Is(err, ErrNoVersion) {
+	if _, err := s.ReconstructAtContext(context.Background(), id, feb10); !errors.Is(err, ErrNoVersion) {
 		t.Fatalf("read at deletion time: err = %v", err)
 	}
-	vt, err := s.ReconstructAt(id, feb10-1)
+	vt, err := s.ReconstructAtContext(context.Background(), id, feb10-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestElementStampsAcrossVersions(t *testing.T) {
 
 func TestVersionAtAndTSOperators(t *testing.T) {
 	s, id := figure1Store(t, Config{})
-	v, err := s.VersionAt(id, model.Date(2001, 1, 26))
+	v, err := s.VersionAtContext(context.Background(), id, model.Date(2001, 1, 26))
 	if err != nil || v.Ver != 2 {
 		t.Fatalf("VersionAt(26/01) = %+v, %v", v, err)
 	}
@@ -320,7 +321,7 @@ func TestVersionAtAndTSOperators(t *testing.T) {
 
 func TestDocHistory(t *testing.T) {
 	s, id := figure1Store(t, Config{})
-	all, err := s.DocHistory(id, model.Always)
+	all, err := s.DocHistoryContext(context.Background(), id, model.Always)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestDocHistory(t *testing.T) {
 		t.Fatal("oldest version wrong")
 	}
 	// Sub-range: [jan15, jan31) covers only version 2.
-	part, err := s.DocHistory(id, model.Interval{Start: jan15, End: jan31})
+	part, err := s.DocHistoryContext(context.Background(), id, model.Interval{Start: jan15, End: jan31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +344,11 @@ func TestDocHistory(t *testing.T) {
 		t.Fatalf("partial history = %+v", part)
 	}
 	// Range covering versions 1-2 via overlap.
-	part2, _ := s.DocHistory(id, model.Interval{Start: jan1, End: jan15 + 1})
+	part2, _ := s.DocHistoryContext(context.Background(), id, model.Interval{Start: jan1, End: jan15 + 1})
 	if len(part2) != 2 {
 		t.Fatalf("overlap history = %d", len(part2))
 	}
-	none, _ := s.DocHistory(id, model.Interval{Start: jan1 - 100, End: jan1})
+	none, _ := s.DocHistoryContext(context.Background(), id, model.Interval{Start: jan1 - 100, End: jan1})
 	if len(none) != 0 {
 		t.Fatal("pre-creation range should be empty")
 	}
@@ -358,7 +359,7 @@ func TestElementHistory(t *testing.T) {
 	cur, _, _ := s.Current(id)
 	napoli := findRestaurant(cur, "Napoli")
 	eid := model.EID{Doc: id, X: napoli.XID}
-	hist, err := s.ElementHistory(eid, model.Always)
+	hist, err := s.ElementHistoryContext(context.Background(), eid, model.Always)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestElementHistory(t *testing.T) {
 	// History of the deleted Akropolis element covers only version 2.
 	v2, _ := s.ReconstructVersion(id, 2)
 	akro := findRestaurant(v2.Root, "Akropolis")
-	hist2, err := s.ElementHistory(model.EID{Doc: id, X: akro.XID}, model.Always)
+	hist2, err := s.ElementHistoryContext(context.Background(), model.EID{Doc: id, X: akro.XID}, model.Always)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -76,7 +77,7 @@ func TestVacuumKeepLast(t *testing.T) {
 		}
 	}
 	// History walks cover only the surviving suffix.
-	hist, err := s.DocHistory(id, model.Always)
+	hist, err := s.DocHistoryContext(context.Background(), id, model.Always)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@
 //
 //   - An exact hit returns a clone of the resident tree — no delta I/O.
 //   - A miss with a cached ancestor v′ < v clones v′ and replays only the
-//     v′→v delta chain forward (store.ReconstructFrom) instead of walking
-//     backward from the nearest snapshot at or after v.
+//     v′→v delta chain forward (store.ReconstructFromContext) instead of
+//     walking backward from the nearest snapshot at or after v.
 //   - Concurrent misses for the same version collapse into a single
 //     flight: one goroutine replays, the rest wait and share the result.
 //
