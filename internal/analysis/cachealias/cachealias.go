@@ -5,8 +5,10 @@
 // PR 3's vcache keeps materialized VersionTrees resident and shared; its
 // immutability discipline is that any tree crossing the cache boundary is
 // deep-cloned before mutation, because an in-place edit of a shared tree
-// corrupts every future cache hit for that version. The analyzer taints
-// variables bound from vcache.Cache.Get and DB.Reconstruct* results,
+// corrupts every future cache hit for that version. The store's published
+// current version (store.Store.Published) is shared the same way. The
+// analyzer taints variables bound from vcache.Cache.Get, DB.Reconstruct*
+// and Store.Published results,
 // propagates the taint through simple assignments (r := vt.Root), clears
 // it on Clone()/DeepClone(), and reports writes that reach shared state
 // through a tainted base — i.e. writes whose access path crosses a
@@ -29,8 +31,8 @@ import (
 // Analyzer flags writes to cache-shared trees without a Clone.
 var Analyzer = &analysis.Analyzer{
 	Name: "cachealias",
-	Doc: "flag mutations of trees obtained from vcache.Cache.Get or core " +
-		"DB.Reconstruct* without an intervening Clone/DeepClone",
+	Doc: "flag mutations of trees obtained from vcache.Cache.Get, core " +
+		"DB.Reconstruct* or store Store.Published without an intervening Clone/DeepClone",
 	Run: run,
 }
 
@@ -206,6 +208,8 @@ func taintSource(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		return "vcache.Cache.Get", true
 	case strings.HasSuffix(pkgPath, "/core") && typeName == "DB" && strings.HasPrefix(method, "Reconstruct"):
 		return "core.DB." + method, true
+	case strings.HasSuffix(pkgPath, "/store") && typeName == "Store" && method == "Published":
+		return "store.Store.Published", true
 	}
 	return "", false
 }

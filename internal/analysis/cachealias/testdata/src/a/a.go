@@ -4,6 +4,7 @@ package a
 
 import (
 	"txmldb/internal/model"
+	"txmldb/internal/store"
 	"txmldb/internal/vcache"
 	"txmldb/internal/xmltree"
 )
@@ -73,4 +74,23 @@ func readOnly(c *vcache.Cache) (string, error) {
 		return "", err
 	}
 	return vt.Root.Name, nil // reads never need a clone
+}
+
+func writeThroughPublishedTree(s *store.Store) error {
+	cur, _, err := s.Published(model.DocID(1))
+	if err != nil {
+		return err
+	}
+	cur.Children[0].Value = "edited" // want "write through cur mutates a tree shared with store.Store.Published"
+	return nil
+}
+
+func clonedPublishedTree(s *store.Store) error {
+	cur, _, err := s.Published(model.DocID(1))
+	if err != nil {
+		return err
+	}
+	own := cur.Clone()
+	own.Value = "edited" // owned copy: allowed
+	return nil
 }

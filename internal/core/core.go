@@ -259,7 +259,9 @@ func (db *DB) putGated(url string, root *xmltree.Node, t model.Time) (model.DocI
 	if err != nil {
 		return 0, err
 	}
-	cur, _, err := db.store.Current(id)
+	// Maintenance only reads the version: index it from the store's own
+	// published tree, not a copy.
+	cur, _, err := db.store.Published(id)
 	if err != nil {
 		return 0, err
 	}
@@ -312,7 +314,7 @@ func (db *DB) updateGated(id model.DocID, root *xmltree.Node, t model.Time) (mod
 		// in-flight reconstructions must not install stale metadata.
 		db.vcache.InvalidateDoc(id)
 	}
-	cur, _, err := db.store.Current(id)
+	cur, _, err := db.store.Published(id) // read-only, as in putGated
 	if err != nil {
 		return 0, nil, err
 	}
@@ -353,7 +355,7 @@ func (db *DB) deleteGated(id model.DocID, t model.Time) error {
 	if err := db.checkWritable("delete"); err != nil {
 		return err
 	}
-	cur, _, err := db.store.Current(id)
+	cur, _, err := db.store.Published(id) // read-only, as in putGated
 	if err != nil {
 		return err
 	}

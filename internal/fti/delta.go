@@ -393,3 +393,11 @@ func (ix *BothIndex) Stats() Stats {
 		Bytes:             v.Bytes + d.Bytes,
 	}
 }
+
+// occKey identifies one word occurrence key of a document: the owning
+// element, the source and the word.
+type occKey struct {
+	x    model.XID
+	src  Source
+	word string
+}

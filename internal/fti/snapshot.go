@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sort"
 
 	"txmldb/internal/model"
 )
@@ -15,7 +16,8 @@ import (
 // and pointer values, so they are flattened into exported, value-typed
 // shapes first.
 
-// versionOpenImage mirrors one (occKey, openEntry) pair of a document.
+// versionOpenImage mirrors one open posting of a document: an element's
+// openSlot with the element's XID.
 type versionOpenImage struct {
 	X       model.XID
 	Src     Source
@@ -41,13 +43,15 @@ func (ix *VersionIndex) SnapshotState() ([]byte, error) {
 		Open:  make(map[model.DocID][]versionOpenImage, len(ix.open)),
 		Live:  ix.liveByWord,
 	}
-	for doc, docOpen := range ix.open {
-		entries := make([]versionOpenImage, 0, len(docOpen))
-		for key, ent := range docOpen {
-			entries = append(entries, versionOpenImage{
-				X: key.x, Src: key.src, Word: key.word,
-				Idx: ent.idx, Count: ent.count, PathSig: ent.pathSig,
-			})
+	for doc, d := range ix.open {
+		var entries []versionOpenImage
+		for x, slots := range d.elems {
+			for _, s := range slots {
+				entries = append(entries, versionOpenImage{
+					X: x, Src: s.src, Word: s.word,
+					Idx: s.idx, Count: s.count, PathSig: s.pathSig,
+				})
+			}
 		}
 		img.Open[doc] = entries
 	}
@@ -71,15 +75,23 @@ func (ix *VersionIndex) RestoreState(data []byte) error {
 	if ix.liveByWord == nil {
 		ix.liveByWord = make(map[string][]int)
 	}
-	ix.open = make(map[model.DocID]map[occKey]*openEntry, len(img.Open))
+	// The image does not record which version each document's postings
+	// describe, so every restored document starts unsynced: its next
+	// version is indexed whole.
+	ix.open = make(map[model.DocID]*docOpen, len(img.Open))
 	for doc, entries := range img.Open {
-		docOpen := make(map[occKey]*openEntry, len(entries))
+		d := &docOpen{elems: make(map[model.XID][]openSlot)}
 		for _, e := range entries {
-			docOpen[occKey{x: e.X, src: e.Src, word: e.Word}] = &openEntry{
-				idx: e.Idx, count: e.Count, pathSig: e.PathSig,
-			}
+			d.elems[e.X] = append(d.elems[e.X], openSlot{
+				src: e.Src, word: e.Word, idx: e.Idx, count: e.Count, pathSig: e.PathSig,
+			})
 		}
-		ix.open[doc] = docOpen
+		for _, slots := range d.elems {
+			sort.Slice(slots, func(i, j int) bool {
+				return compareOcc(slots[i].src, slots[i].word, slots[j].src, slots[j].word) < 0
+			})
+		}
+		ix.open[doc] = d
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package fti
 
 import (
+	"sort"
 	"sync"
 
 	"txmldb/internal/diff"
@@ -17,12 +18,16 @@ import (
 // occurrences of the same word under one element share a posting with a
 // reference count, so removing one of two occurrences does not end the
 // posting's validity.
+//
+// Upkeep is O(change): AddVersion re-evaluates only the elements the
+// completed delta names (see scriptScope) and leaves every other open
+// posting alone.
 type VersionIndex struct {
 	mu    sync.RWMutex
 	words map[string][]Posting
-	// open tracks the currently valid posting per document and occurrence
-	// key, with its occurrence count and path signature.
-	open map[model.DocID]map[occKey]*openEntry
+	// open holds the currently valid postings of every document, by
+	// element.
+	open map[model.DocID]*docOpen
 	// liveByWord holds, per word, the indexes of postings that were open
 	// when last appended; closed entries are compacted away lazily on
 	// lookup. It makes current-state lookups cost O(live) instead of
@@ -31,14 +36,24 @@ type VersionIndex struct {
 	liveByWord map[string][]int
 }
 
-type occKey struct {
-	x    model.XID
-	src  Source
-	word string
+// docOpen is one document's open postings, keyed by element XID.
+type docOpen struct {
+	elems map[model.XID][]openSlot
+	// stamp is the time of the version the open postings describe, valid
+	// once synced. A script is applied incrementally only on top of the
+	// version it starts from; after a checkpoint restore, or when versions
+	// were skipped, the next version is indexed whole.
+	stamp  model.Time
+	synced bool
 }
 
-type openEntry struct {
-	idx     int // position in words[key.word]
+// openSlot is the open posting of one word under one element, with its
+// occurrence count and the signature of the element's path when it
+// opened. An element's slots are sorted by (src, word).
+type openSlot struct {
+	src     Source
+	word    string
+	idx     int // position in words[word]
 	count   int
 	pathSig uint64
 }
@@ -47,7 +62,7 @@ type openEntry struct {
 func NewVersionIndex() *VersionIndex {
 	return &VersionIndex{
 		words:      make(map[string][]Posting),
-		open:       make(map[model.DocID]map[occKey]*openEntry),
+		open:       make(map[model.DocID]*docOpen),
 		liveByWord: make(map[string][]int),
 	}
 }
@@ -55,86 +70,299 @@ func NewVersionIndex() *VersionIndex {
 // Name implements Index.
 func (ix *VersionIndex) Name() string { return "version-content" }
 
-// occState is the occurrence multiset of one document version.
-type occState struct {
-	counts map[occKey]int
-	paths  map[model.XID][]model.XID
+// AddVersion implements Index. It re-evaluates the elements whose words
+// or path the version can have changed: for each, postings of vanished
+// occurrences close, new occurrences open postings, and a changed ancestor
+// chain (a move) closes and reopens them all so the stored path stays
+// valid for the posting's span. Elements gone from the version close all
+// their postings. With the completed delta that produced newRoot the
+// affected set is the one scriptScope derives; for an initial version
+// (nil script), or one that does not follow the indexed version, it is
+// every element of newRoot plus every element with open postings.
+func (ix *VersionIndex) AddVersion(doc model.DocID, newRoot *xmltree.Node, script *diff.Script, t model.Time) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	d := ix.open[doc]
+	if d == nil {
+		d = &docOpen{elems: make(map[model.XID][]openSlot)}
+		ix.open[doc] = d
+	}
+	sc, ok := scriptScope(d, newRoot, script)
+	if !ok {
+		sc = wholeScope(d, newRoot)
+	}
+	for _, e := range sc.elems {
+		ix.reindexElem(doc, d, e.x, e.n, t)
+	}
+	d.stamp, d.synced = t, true
+	return nil
 }
 
-func occurrencesOf(root *xmltree.Node) occState {
-	st := occState{
-		counts: make(map[occKey]int),
-		paths:  make(map[model.XID][]model.XID),
+// scope is the set of elements an AddVersion re-evaluates, in the order
+// found. n is the element in the new version, nil if it is gone.
+type scope struct {
+	elems []scopeElem
+	seen  map[model.XID]bool
+}
+
+type scopeElem struct {
+	x model.XID
+	n *xmltree.Node
+}
+
+func (sc *scope) add(x model.XID, n *xmltree.Node) {
+	if sc.seen == nil {
+		sc.seen = make(map[model.XID]bool)
 	}
+	if !sc.seen[x] {
+		sc.seen[x] = true
+		sc.elems = append(sc.elems, scopeElem{x, n})
+	}
+}
+
+// wholeScope is every element of root plus every element of the document
+// with open postings.
+func wholeScope(d *docOpen, root *xmltree.Node) scope {
+	var sc scope
 	root.Walk(func(n *xmltree.Node) bool {
 		if n.IsElement() {
-			st.paths[n.XID] = pathOf(n)
-		}
-		for _, o := range nodeOccurrences(n) {
-			st.counts[occKey{x: o.x, src: o.src, word: o.word}]++
+			sc.add(n.XID, n)
 		}
 		return true
 	})
-	return st
+	for x := range d.elems {
+		sc.add(x, nil)
+	}
+	return sc
 }
 
-func pathSig(path []model.XID) uint64 {
+// The roles an XID named by a script plays for the version index.
+const (
+	askElem    = iota // an element whose own words changed
+	askText           // a text node: its parent element's words changed
+	askSubtree        // an inserted or moved subtree: every element's path
+)
+
+// scriptScope derives the affected elements from the completed delta:
+// update, attribute and rename targets; the parent element of a changed
+// text node; the old and new parents of inserted, moved and deleted
+// nodes; every element of an inserted subtree, or of a subtree moved to
+// another parent, looked up in newRoot; and every element of a deleted
+// subtree, which closes. It reports false when the script cannot drive
+// the upkeep — nil, not starting from the indexed version, an insert or
+// delete without its payload, or a named node missing from newRoot — and
+// the caller indexes the whole version instead.
+func scriptScope(d *docOpen, newRoot *xmltree.Node, script *diff.Script) (scope, bool) {
+	var sc scope
+	if script == nil || !d.synced || script.FromStamp != d.stamp {
+		return sc, false
+	}
+	type ask struct {
+		x    model.XID
+		role int
+	}
+	var asks []ask
+	gone := make(map[model.XID]bool)
+	for _, op := range script.Ops {
+		switch op.Kind {
+		case diff.OpInsert:
+			if op.Node == nil {
+				return sc, false
+			}
+			asks = append(asks, ask{op.Parent, askElem}, ask{op.Node.XID, askSubtree})
+		case diff.OpDelete:
+			if op.Node == nil {
+				return sc, false
+			}
+			asks = append(asks, ask{op.OldParent, askElem})
+			op.Node.Walk(func(n *xmltree.Node) bool {
+				gone[n.XID] = true
+				if n.IsElement() {
+					sc.add(n.XID, nil)
+				}
+				return true
+			})
+		case diff.OpUpdateText:
+			asks = append(asks, ask{op.XID, askText})
+		case diff.OpUpdateAttrs, diff.OpRename:
+			asks = append(asks, ask{op.XID, askElem})
+		case diff.OpMove:
+			// A path is the chain of ancestor XIDs, blind to positions: a
+			// move among siblings changes no posting.
+			if op.Parent != op.OldParent {
+				asks = append(asks, ask{op.Parent, askElem}, ask{op.OldParent, askElem}, ask{op.XID, askSubtree})
+			}
+		}
+	}
+	want := make(map[model.XID]*xmltree.Node, len(asks))
+	for _, a := range asks {
+		if !gone[a.x] {
+			want[a.x] = nil
+		}
+	}
+	locate(newRoot, script.ToStamp, want)
+	for _, a := range asks {
+		if gone[a.x] {
+			continue // deleted by a later op; its elements close above
+		}
+		n := want[a.x]
+		if n == nil {
+			return sc, false
+		}
+		switch {
+		case a.role == askText && n.Parent != nil:
+			sc.add(n.Parent.XID, n.Parent)
+		case a.role == askSubtree:
+			n.Walk(func(e *xmltree.Node) bool {
+				if e.IsElement() {
+					sc.add(e.XID, e)
+				}
+				return true
+			})
+		case n.IsElement():
+			sc.add(n.XID, n)
+		}
+	}
+	return sc, true
+}
+
+// locate fills want with the nodes of root carrying its XIDs. Diff stamps
+// every node it touches, and every ancestor of one, with the new
+// version's stamp, so the search descends only into children stamped at
+// stamp; a node it does not find stays nil.
+func locate(root *xmltree.Node, stamp model.Time, want map[model.XID]*xmltree.Node) {
+	if len(want) == 0 {
+		return
+	}
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		if _, ok := want[n.XID]; ok {
+			want[n.XID] = n
+		}
+		for _, c := range n.Children {
+			if c.Stamp == stamp {
+				walk(c)
+			}
+		}
+	}
+	walk(root)
+}
+
+// reindexElem brings the open postings of element x in line with its
+// node n in the new version (nil: the element is gone).
+func (ix *VersionIndex) reindexElem(doc model.DocID, d *docOpen, x model.XID, n *xmltree.Node, t model.Time) {
+	slots := d.elems[x]
+	if n == nil {
+		for _, s := range slots {
+			ix.closeLocked(s.word, s.idx, t)
+		}
+		delete(d.elems, x)
+		return
+	}
+	occ := elementOccurrences(n)
+	sig := pathSigOf(n)
+	var path []model.XID
+	next := make([]openSlot, 0, len(occ))
+	open := func(o occCount) {
+		if path == nil {
+			path = pathOf(n)
+		}
+		ix.words[o.word] = append(ix.words[o.word], Posting{
+			Doc:  doc,
+			X:    x,
+			Path: path,
+			Src:  o.src,
+			Span: model.Interval{Start: t, End: model.Forever},
+		})
+		idx := len(ix.words[o.word]) - 1
+		ix.liveByWord[o.word] = append(ix.liveByWord[o.word], idx)
+		next = append(next, openSlot{src: o.src, word: o.word, idx: idx, count: o.count, pathSig: sig})
+	}
+	i, k := 0, 0
+	for i < len(slots) || k < len(occ) {
+		var c int
+		switch {
+		case i == len(slots):
+			c = 1
+		case k == len(occ):
+			c = -1
+		default:
+			c = compareOcc(slots[i].src, slots[i].word, occ[k].src, occ[k].word)
+		}
+		switch {
+		case c < 0: // the occurrence vanished
+			ix.closeLocked(slots[i].word, slots[i].idx, t)
+			i++
+		case c > 0: // a new occurrence
+			open(occ[k])
+			k++
+		case slots[i].pathSig == sig: // still there, same path
+			s := slots[i]
+			s.count = occ[k].count
+			next = append(next, s)
+			i++
+			k++
+		default: // still there, but the element moved
+			ix.closeLocked(slots[i].word, slots[i].idx, t)
+			open(occ[k])
+			i++
+			k++
+		}
+	}
+	d.elems[x] = next
+}
+
+// occCount is one distinct word occurrence of an element with its count.
+type occCount struct {
+	src   Source
+	word  string
+	count int
+}
+
+func compareOcc(as Source, aw string, bs Source, bw string) int {
+	switch {
+	case as != bs:
+		return int(as) - int(bs)
+	case aw < bw:
+		return -1
+	case aw > bw:
+		return 1
+	}
+	return 0
+}
+
+// elementOccurrences returns the distinct word occurrences an element
+// owns — its own (nodeOccurrences) and those of its text children —
+// sorted by (src, word) and counted.
+func elementOccurrences(n *xmltree.Node) []occCount {
+	all := nodeOccurrences(n)
+	for _, c := range n.Children {
+		if c.IsText() {
+			all = append(all, nodeOccurrences(c)...)
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		return compareOcc(all[i].src, all[i].word, all[j].src, all[j].word) < 0
+	})
+	var out []occCount
+	for i, o := range all {
+		if i > 0 && o.src == all[i-1].src && o.word == all[i-1].word {
+			out[len(out)-1].count++
+		} else {
+			out = append(out, occCount{src: o.src, word: o.word, count: 1})
+		}
+	}
+	return out
+}
+
+// pathSigOf hashes the element's XID chain, self first, root last.
+func pathSigOf(n *xmltree.Node) uint64 {
 	var h uint64 = 1469598103934665603
-	for _, x := range path {
-		h ^= uint64(x)
+	for p := n; p != nil; p = p.Parent {
+		h ^= uint64(p.XID)
 		h *= 1099511628211
 	}
 	return h
-}
-
-// AddVersion implements Index by diffing the new version's occurrence
-// multiset against the open postings of the document: vanished occurrences
-// close their postings, new ones open postings, and elements whose ancestor
-// chain changed (moves) close and reopen so the stored path stays valid for
-// the posting's span. The completed delta script is not needed here; the
-// DeltaIndex alternative consumes it.
-func (ix *VersionIndex) AddVersion(doc model.DocID, newRoot *xmltree.Node, _ *diff.Script, t model.Time) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	st := occurrencesOf(newRoot)
-	docOpen := ix.open[doc]
-	if docOpen == nil {
-		docOpen = make(map[occKey]*openEntry)
-		ix.open[doc] = docOpen
-	}
-	// Close postings whose occurrence vanished or whose element moved.
-	for key, ent := range docOpen {
-		newCount := st.counts[key]
-		newSig := pathSig(st.paths[key.x])
-		if newCount > 0 && ent.pathSig == newSig {
-			ent.count = newCount
-			continue
-		}
-		ix.closeLocked(key.word, ent.idx, t)
-		delete(docOpen, key)
-	}
-	// Open postings for new occurrences (including reopened moves).
-	for key, count := range st.counts {
-		if _, exists := docOpen[key]; exists {
-			continue
-		}
-		path := st.paths[key.x]
-		ix.words[key.word] = append(ix.words[key.word], Posting{
-			Doc:  doc,
-			X:    key.x,
-			Path: path,
-			Src:  key.src,
-			Span: model.Interval{Start: t, End: model.Forever},
-		})
-		idx := len(ix.words[key.word]) - 1
-		docOpen[key] = &openEntry{
-			idx:     idx,
-			count:   count,
-			pathSig: pathSig(path),
-		}
-		ix.liveByWord[key.word] = append(ix.liveByWord[key.word], idx)
-	}
-	return nil
 }
 
 // closeLocked ends the posting's validity at t. A posting can end in the
@@ -150,8 +378,12 @@ func (ix *VersionIndex) closeLocked(word string, idx int, t model.Time) {
 func (ix *VersionIndex) DeleteDoc(doc model.DocID, _ *xmltree.Node, t model.Time) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for key, ent := range ix.open[doc] {
-		ix.closeLocked(key.word, ent.idx, t)
+	if d := ix.open[doc]; d != nil {
+		for _, slots := range d.elems {
+			for _, s := range slots {
+				ix.closeLocked(s.word, s.idx, t)
+			}
+		}
 	}
 	delete(ix.open, doc)
 	return nil

@@ -55,7 +55,9 @@ type metaVersion struct {
 
 // metaDelta is one incremental metadata record: a full upsert of a single
 // document's table entry. Every commit logs one of these instead of the whole
-// table; replay applies them in order on top of the last full snapshot.
+// table; replay applies them in order on top of the last full snapshot. An
+// entry without versions withdraws the document: it cancels the record of
+// a create whose commit failed (Store.fenceAbandoned).
 type metaDelta struct {
 	Format  int     `json:"format"`
 	NextDoc int64   `json:"nextDoc"`
@@ -167,6 +169,7 @@ func (s *Store) restoreMeta(meta []byte, deltas [][]byte) error {
 		return fmt.Errorf("store: recover: metadata format %d, want %d", mf.Format, metaFormat)
 	}
 	byID := make(map[int64]int, len(mf.Docs))
+	withdrawn := make(map[int64]bool)
 	for i, md := range mf.Docs {
 		byID[md.ID] = i
 	}
@@ -181,6 +184,7 @@ func (s *Store) restoreMeta(meta []byte, deltas [][]byte) error {
 		if del.NextDoc > mf.NextDoc {
 			mf.NextDoc = del.NextDoc
 		}
+		withdrawn[del.Doc.ID] = len(del.Doc.Versions) == 0
 		if j, ok := byID[del.Doc.ID]; ok {
 			mf.Docs[j] = del.Doc
 		} else {
@@ -192,6 +196,9 @@ func (s *Store) restoreMeta(meta []byte, deltas [][]byte) error {
 	defer s.mu.Unlock()
 	s.nextDoc = model.DocID(mf.NextDoc)
 	for _, md := range mf.Docs {
+		if withdrawn[md.ID] {
+			continue
+		}
 		d := &docEntry{
 			id:      model.DocID(md.ID),
 			name:    md.Name,

@@ -367,6 +367,33 @@ func (s *Store) persistStaged(staged *docEntry) (bool, error) {
 	return true, nil
 }
 
+// fenceAbandoned follows a failed persistStaged. The abandoned stage's
+// metadata record may already be in the log, and the next successful
+// commit marker — any writer's — would make it durable. The fence logs
+// the record that cancels it: the document's published entry again, or,
+// for a document that was never published (published == nil), a
+// withdrawal. Callers log it before freeing the stage's extents.
+func (s *Store) fenceAbandoned(id model.DocID, published *docEntry) error {
+	if !s.pages.Durable() {
+		return nil
+	}
+	s.mu.RLock()
+	nextDoc := int64(s.nextDoc)
+	entry := &docEntry{id: id}
+	if published != nil {
+		entry = published
+	}
+	rec, err := marshalDocDelta(entry, nextDoc)
+	s.mu.RUnlock()
+	if err != nil {
+		return fmt.Errorf("store: serialize meta fence: %w", err)
+	}
+	if err := s.pages.SetMetaDelta(rec); err != nil {
+		return fmt.Errorf("store: persist meta fence: %w", err)
+	}
+	return nil
+}
+
 // CommitsSinceCheckpoint reports how many durable commits happened since
 // the last NoteCheckpoint (or open). Checkpoint triggers poll it.
 func (s *Store) CommitsSinceCheckpoint() int {
@@ -437,6 +464,7 @@ func (s *Store) Put(name string, tree *xmltree.Node, t model.Time) (model.DocID,
 	d.versions = []VersionInfo{{Ver: 1, Stamp: t, End: model.Forever, Snapshot: ref}}
 	committed, err := s.persistStaged(d)
 	if err != nil {
+		err = errors.Join(err, s.fenceAbandoned(id, nil))
 		unclaim()
 		s.pages.Free(ref)
 		return 0, fmt.Errorf("store: put %q: %w", name, err)
@@ -546,16 +574,18 @@ func (s *Store) Update(id model.DocID, tree *xmltree.Node, t model.Time) (model.
 	s.pages.FreeStaged(freeOld)
 	committed, err := s.persistStaged(staged)
 	if err != nil {
-		// Nothing was published; the staged extents are unreferenced, and
-		// the old snapshot — still named by the published table — is
-		// restored from limbo.
-		s.pages.Free(deltaRef)
-		s.pages.Free(newInfo.Snapshot)
+		// Nothing was published; the old snapshot — still named by the
+		// published table — is restored from limbo, the published entry
+		// is fenced back in, and only then are the staged extents freed,
+		// so that no prefix of the log names a freed extent.
 		if uerr := s.pages.UnfreeStaged(freeOld); uerr != nil {
 			// The old snapshot could not be written back: degrade the
 			// cached current version rather than serve a dangling ref.
 			err = errors.Join(err, uerr)
 		}
+		err = errors.Join(err, s.fenceAbandoned(id, d))
+		s.pages.Free(deltaRef)
+		s.pages.Free(newInfo.Snapshot)
 		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
 	}
 
@@ -608,7 +638,7 @@ func (s *Store) Delete(id model.DocID, t model.Time) error {
 	}
 	committed, err := s.persistStaged(staged)
 	if err != nil {
-		return fmt.Errorf("store: delete %d: %w", id, err)
+		return fmt.Errorf("store: delete %d: %w", id, errors.Join(err, s.fenceAbandoned(id, d)))
 	}
 
 	s.mu.Lock()
@@ -661,6 +691,19 @@ func (s *Store) Docs() []model.DocID {
 // its version info. It fails for deleted documents; use
 // ReconstructAtContext for historical access.
 func (s *Store) Current(id model.DocID) (*xmltree.Node, VersionInfo, error) {
+	cur, info, err := s.Published(id)
+	if err != nil {
+		return nil, VersionInfo{}, err
+	}
+	return cur.Clone(), info, nil
+}
+
+// Published returns the published current version of the document — the
+// annotated tree the store itself keeps, not a copy — and its version
+// info. The tree is shared with the store and every later caller, and
+// must be treated as read-only; a later Update replaces it rather than
+// modifying it. Index maintenance reads it to avoid Current's deep copy.
+func (s *Store) Published(id model.DocID) (*xmltree.Node, VersionInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d, ok := s.docs[id]
@@ -673,7 +716,7 @@ func (s *Store) Current(id model.DocID) (*xmltree.Node, VersionInfo, error) {
 	if d.cur == nil {
 		return nil, VersionInfo{}, fmt.Errorf("store: current version of doc %d unavailable: %w", id, d.curErr)
 	}
-	return d.cur.Clone(), *d.curInfo(), nil
+	return d.cur, *d.curInfo(), nil
 }
 
 // Versions returns the document's delta index: one entry per version in
