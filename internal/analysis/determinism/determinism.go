@@ -2,10 +2,10 @@
 //
 // The paper's operator semantics (Nørvåg §6–7) are deterministic: the
 // same query over the same version history must produce the same rows in
-// the same order, which is also what the byte-identical-at-N-workers test
-// from PR 4 and the bench gate rely on. Three things silently break that
-// inside internal/model, internal/pattern, internal/plan,
-// internal/algebra, internal/diff:
+// the same order, which is also what the differential oracle
+// (internal/oracle) and the bench gate rely on. Three things silently
+// break that inside internal/model, internal/pattern, internal/plan,
+// internal/diff:
 //
 //   - time.Now (wall-clock leaking into results),
 //   - math/rand (any import of it),
@@ -29,13 +29,13 @@ import (
 // Analyzer flags nondeterminism sources in operator packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "in model/pattern/plan/algebra/diff: forbid time.Now, math/rand, " +
+	Doc: "in model/pattern/plan/diff: forbid time.Now, math/rand, " +
 		"and map-range output into ordered sinks without a following sort",
 	Run: run,
 }
 
 var targetSegments = map[string]bool{
-	"model": true, "pattern": true, "plan": true, "algebra": true, "diff": true,
+	"model": true, "pattern": true, "plan": true, "diff": true,
 }
 
 func run(pass *analysis.Pass) error {

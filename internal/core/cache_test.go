@@ -155,94 +155,6 @@ func TestCacheWarmHitReadsNoExtents(t *testing.T) {
 	}
 }
 
-// TestCachedOperatorsMatchUncached runs the reconstruction-based operators
-// against two databases loaded identically — cache on and cache off — and
-// requires identical answers.
-func TestCachedOperatorsMatchUncached(t *testing.T) {
-	plain := Open(Config{})
-	cached := cachedDB()
-	var id model.DocID
-	for _, db := range []*DB{plain, cached} {
-		var err error
-		id, err = db.Put("d", docV(1), model.Date(2001, 1, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := 2; n <= 12; n++ {
-			if _, _, err := db.Update(id, docV(n), model.Date(2001, 1, 1)+model.Time(n)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// DocHistory (twice: the second cached run reads its own fills).
-	for pass := 0; pass < 2; pass++ {
-		want, err := plain.DocHistory(id, model.Always)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cached.DocHistory(id, model.Always)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("DocHistory: %d versions cached vs %d plain", len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Info != want[i].Info || !xmltree.Equal(got[i].Root, want[i].Root) {
-				t.Fatalf("DocHistory[%d] differs (pass %d)", i, pass)
-			}
-		}
-	}
-	st, _ := cached.CacheStats()
-	if st.Fills == 0 {
-		t.Fatalf("DocHistory did not fill the cache: %+v", st)
-	}
-
-	// ElementHistory of the <val> element.
-	root, _, err := plain.Current(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eid := model.EID{Doc: id, X: root.Children[0].XID}
-	want, err := plain.ElementHistory(eid, model.Always)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cached.ElementHistory(eid, model.Always)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ElementHistory: %d cached vs %d plain", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Info != want[i].Info || !xmltree.Equal(got[i].Root, want[i].Root) {
-			t.Fatalf("ElementHistory[%d] differs", i)
-		}
-	}
-
-	// Reconstruct by TEID.
-	for n := 1; n <= 12; n++ {
-		vi, err := plain.Store().ReconstructVersion(id, model.VersionNo(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		teid := model.TEID{E: model.EID{Doc: id, X: vi.Root.Children[0].XID}, T: vi.Info.Stamp}
-		w, err := plain.Reconstruct(teid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := cached.Reconstruct(teid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !xmltree.Equal(g, w) {
-			t.Fatalf("Reconstruct(v%d) differs", n)
-		}
-	}
-}
-
 // TestCacheConcurrentQueriesWithWriter drives the full DB under -race:
 // one writer appending versions through db.Update (which invalidates),
 // readers reconstructing random versions through the cache.

@@ -2,15 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"txmldb/internal/model"
 	"txmldb/internal/store"
-	"txmldb/internal/vcache"
-	"txmldb/internal/xmltree"
 )
 
 // TestEpochPinnedQueryIgnoresLaterWrites drives a query pinned before an
@@ -42,101 +38,5 @@ func TestEpochPinnedQueryIgnoresLaterWrites(t *testing.T) {
 	}
 	if s := res.Doc().String(); !strings.Contains(s, "25") {
 		t.Fatalf("unpinned query missed the post-pin state: %s", s)
-	}
-}
-
-// TestEpochPinnedQueryQuiescedOracle runs pinned queries concurrently with
-// writers and verifies the isolation contract directly: a query pinned at
-// epoch e returns byte-identical results whether it raced the writers or
-// re-ran at the same pin after the store quiesced. Runs with the version
-// cache enabled, so the pinned cache-fetch path is exercised too.
-func TestEpochPinnedQueryQuiescedOracle(t *testing.T) {
-	db := Open(Config{
-		Clock: func() model.Time { return 1_000_000 },
-		Cache: vcache.Config{MaxBytes: 1 << 20},
-	})
-	const writers = 3
-	const updates = 30
-	mk := func(price int) *xmltree.Node {
-		return xmltree.Elem("guide", xmltree.Elem("restaurant",
-			xmltree.ElemText("name", "Napoli"),
-			xmltree.ElemText("price", fmt.Sprint(price))))
-	}
-	ids := make([]model.DocID, writers)
-	urls := make([]string, writers)
-	for w := range ids {
-		urls[w] = fmt.Sprintf("u%d", w)
-		id, err := db.Put(urls[w], mk(1), 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[w] = id
-	}
-
-	type pinnedRun struct {
-		query string
-		pin   uint64
-		out   string
-	}
-	var (
-		runsMu sync.Mutex
-		runs   []pinnedRun
-	)
-	var writersWG, readersWG sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		writersWG.Add(1)
-		go func(w int) {
-			defer writersWG.Done()
-			for i := 2; i <= updates; i++ {
-				if _, _, err := db.Update(ids[w], mk(i), model.Time(1000+int64(i))); err != nil {
-					t.Errorf("writer %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	for r := 0; r < 3; r++ {
-		readersWG.Add(1)
-		go func(r int) {
-			defer readersWG.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := fmt.Sprintf(`SELECT TIME(R), R/price FROM doc(%q)[EVERY]/restaurant R`, urls[r%writers])
-				pin := db.Epoch()
-				ctx := store.WithEpoch(context.Background(), pin)
-				res, err := db.QueryContext(ctx, q)
-				if err != nil {
-					t.Errorf("pinned query: %v", err)
-					return
-				}
-				runsMu.Lock()
-				runs = append(runs, pinnedRun{query: q, pin: pin, out: res.Doc().String()})
-				runsMu.Unlock()
-			}
-		}(r)
-	}
-	writersWG.Wait()
-	close(stop)
-	readersWG.Wait()
-
-	if len(runs) == 0 {
-		t.Fatal("no pinned queries executed while writers ran")
-	}
-	// Quiesced oracle: the same query at the same pin must answer
-	// byte-identically now that no writers race it.
-	for _, run := range runs {
-		ctx := store.WithEpoch(context.Background(), run.pin)
-		res, err := db.QueryContext(ctx, run.query)
-		if err != nil {
-			t.Fatalf("quiesced rerun at pin %d: %v", run.pin, err)
-		}
-		if got := res.Doc().String(); got != run.out {
-			t.Fatalf("pin %d: racing result differs from quiesced oracle:\nraced:    %s\nquiesced: %s", run.pin, run.out, got)
-		}
 	}
 }

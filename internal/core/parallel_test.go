@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,108 +53,6 @@ func parallelCorpusDB(t *testing.T, workers int) (*DB, []model.DocID) {
 func guidePattern() *pattern.PNode {
 	r := &pattern.PNode{Name: "restaurant", Rel: pattern.Child, Project: true}
 	return &pattern.PNode{Name: "guide", Rel: pattern.Child, Children: []*pattern.PNode{r}}
-}
-
-// renderHistory flattens a history result for byte-comparison.
-func renderHistory(vts []store.VersionTree) string {
-	var b strings.Builder
-	for _, vt := range vts {
-		fmt.Fprintf(&b, "v%d [%s,%s) %s\n", vt.Info.Ver, vt.Info.Stamp, vt.Info.End, vt.Root.String())
-	}
-	return b.String()
-}
-
-// TestParallelOperatorsMatchSequential checks every pooled operator
-// produces byte-identical output at 1, 2, 4 and 8 workers: the
-// Workers=1 sequential path is the reference the parallel fan-outs must
-// reproduce exactly.
-func TestParallelOperatorsMatchSequential(t *testing.T) {
-	type snapshot struct {
-		scan, history, elemHist, diff, query string
-	}
-	var want snapshot
-	for _, w := range []int{1, 2, 4, 8} {
-		db, ids := parallelCorpusDB(t, w)
-		var got snapshot
-
-		teids, err := db.TPatternScanAll(guidePattern())
-		if err != nil {
-			t.Fatalf("workers=%d: scan: %v", w, err)
-		}
-		trees, err := db.ReconstructBatch(context.Background(), teids)
-		if err != nil {
-			t.Fatalf("workers=%d: reconstruct batch: %v", w, err)
-		}
-		var sb strings.Builder
-		for i, n := range trees {
-			fmt.Fprintf(&sb, "%s=%s\n", teids[i], n.String())
-		}
-		got.scan = sb.String()
-
-		for _, id := range ids {
-			h, err := db.DocHistory(id, model.Always)
-			if err != nil {
-				t.Fatalf("workers=%d: history doc %d: %v", w, id, err)
-			}
-			got.history += renderHistory(h)
-		}
-
-		cur, _, err := db.Current(ids[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		eid := model.EID{Doc: ids[0], X: cur.ChildElements("restaurant")[0].XID}
-		eh, err := db.ElementHistory(eid, model.Always)
-		if err != nil {
-			t.Fatalf("workers=%d: element history: %v", w, err)
-		}
-		got.elemHist = renderHistory(eh)
-
-		versions, err := db.Versions(ids[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := model.TEID{E: model.EID{Doc: ids[1], X: 1}, T: versions[0].Stamp}
-		bTEID := model.TEID{E: model.EID{Doc: ids[1], X: 1}, T: versions[len(versions)-1].Stamp}
-		dn, err := db.Diff(a, bTEID)
-		if err != nil {
-			t.Fatalf("workers=%d: diff: %v", w, err)
-		}
-		got.diff = dn.String()
-
-		res, err := db.Query(`SELECT TIME(R), R/price FROM doc("http://doc2.example.com/x.xml")[EVERY]/restaurant R`)
-		if err != nil {
-			t.Fatalf("workers=%d: query: %v", w, err)
-		}
-		got.query = fmt.Sprintf("%v/%+v", res.Rows, res.Metrics)
-
-		if w == 1 {
-			want = got
-			continue
-		}
-		if got.scan != want.scan {
-			t.Errorf("workers=%d: scan+batch output diverges from sequential", w)
-		}
-		if got.history != want.history {
-			t.Errorf("workers=%d: DocHistory output diverges from sequential", w)
-		}
-		if got.elemHist != want.elemHist {
-			t.Errorf("workers=%d: ElementHistory output diverges from sequential", w)
-		}
-		if got.diff != want.diff {
-			t.Errorf("workers=%d: Diff output diverges from sequential", w)
-		}
-		if got.query != want.query {
-			t.Errorf("workers=%d: [EVERY] query output (rows+metrics) diverges from sequential:\n got %s\nwant %s", w, got.query, want.query)
-		}
-		st := db.PoolStats()
-		if st.Submitted == 0 {
-			t.Errorf("workers=%d: pool never used", w)
-		}
-		if st.Submitted != st.Completed+st.Cancelled+st.Panicked {
-			t.Errorf("workers=%d: pool imbalance: %+v", w, st)
-		}
-	}
 }
 
 // TestParallelScanStress interleaves parallel TPatternScanAll readers and

@@ -45,8 +45,8 @@ type BreakerConfig struct {
 	// ProbeSuccesses is how many consecutive successful half-open probes
 	// close the breaker again. Default 3.
 	ProbeSuccesses int
-	// Clock supplies the current time; nil means time.Now. Tests and the
-	// chaos harness inject deterministic clocks through it.
+	// Clock supplies the current time; nil means time.Now. Tests inject
+	// deterministic clocks through it.
 	Clock func() time.Time
 }
 

@@ -231,7 +231,7 @@ type ComponentSnapshot struct {
 }
 
 // Snapshot is a consistent view of the tier for /readyz, /metrics and the
-// chaos harness.
+// oracle's fault campaigns.
 type Snapshot struct {
 	State   State             // overall, as State() derives it
 	Backend ComponentSnapshot // the I/O path
