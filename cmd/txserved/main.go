@@ -74,7 +74,7 @@ func main() {
 	cacheReplay := flag.Int("cache-replay", 128, "max deltas replayed forward from a cached ancestor version")
 	workers := flag.Int("workers", 0, "worker-pool size for parallel operators (0 = GOMAXPROCS, 1 = sequential)")
 	ckptEvery := flag.Duration("checkpoint-every", 0, "durable mode: background checkpoint interval (0 disables; checkpoints bound reopen replay and reclaim log segments)")
-	commitWindow := flag.Duration("commit-window", 0, "durable mode: WAL group-commit window — concurrent commits arriving within it share one fsync (0 disables batching; try 1ms under concurrent writers)")
+	commitWindow := flag.Duration("commit-window", 0, "durable mode: WAL group-commit window — concurrent commits arriving within it share one fsync (0: no wait, only commits queued behind an in-flight fsync share the next; try 1ms under concurrent writers)")
 	shards := flag.Int("shards", 1, "partition documents across this many engine instances; with -datadir the directory becomes a root holding shard-NN/ subdirs")
 	shardInflight := flag.Int("shard-inflight", 0, "per-shard admission bound (0 = default)")
 	flag.Parse()

@@ -15,14 +15,13 @@
 // interface ending in "Backend":
 //
 //   - in store and core: every such call, plus (*os.File).Sync — the
-//     engine must commit through (*pagestore.Store).Commit, which routes
-//     into the group committer when a window is configured;
+//     engine must commit through (*pagestore.Batch).Commit, which routes
+//     every batch into the group committer;
 //   - in pagestore: every such call except delegation inside a backend
 //     decorator (a method on a type that itself implements the same
 //     Backend interface, e.g. the fault injector forwarding Commit to its
-//     inner backend). The synchronous no-batcher fallback in
-//     (*Store).Commit is a real finding and carries its //txvet:ignore
-//     justification — it IS the durability point when batching is off.
+//     inner backend). The group committer's flush, wired as the method
+//     value backend.Commit, is the only commit path.
 //
 // The check is intraprocedural; like the rest of txvet it trades whole-
 // program soundness for zero dependencies and fast CI feedback.

@@ -21,7 +21,7 @@ func NewCommitter(flush func() error) *Committer {
 	return &Committer{flush: flush}
 }
 
-// Store mirrors the real page store: a backend and an optional batcher.
+// Store mirrors the real page store: a backend and its committer.
 type Store struct {
 	backend FixtureBackend
 	group   *Committer
@@ -33,8 +33,8 @@ func NewStore(b FixtureBackend) *Store {
 	return &Store{backend: b, group: NewCommitter(b.Commit)}
 }
 
-// Commit falls back to a synchronous barrier when no batcher runs; the
-// direct call is a finding unless justified.
+// Commit forks a synchronous barrier past the committer when none is
+// wired; the direct call is a finding.
 func (s *Store) Commit() error {
 	if s.group != nil {
 		return s.group.flush()

@@ -22,8 +22,8 @@
 //     function in the package receives from (completion is observed);
 //   - method spawn (go x.run()): the method's body closes or Done()s a
 //     field that the declaring package waits on, resolved through the
-//     call graph — the batcher's `go g.run()` / `close(g.stopped)` /
-//     `<-g.stopped` in Close is the canonical shape.
+//     call graph — a `go g.run()` whose body does `close(g.stopped)`,
+//     with `<-g.stopped` in Close, is the canonical shape.
 //
 // The "somewhere in the package" half is deliberately name-based on the
 // field (every instance shares the shutdown protocol its methods

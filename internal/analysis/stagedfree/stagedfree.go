@@ -1,21 +1,23 @@
-// Package stagedfree defines an Analyzer enforcing the two-phase extent
-// free protocol: a FreeStaged call stages extents for reuse but does not
-// release them — the transaction must either publish and ReleaseStaged,
-// or abandon and UnfreeStaged. A path that returns with a staging still
-// open leaks the extents until restart (they are neither reusable nor
-// accounted), and on the error path it silently converts a failed commit
-// into permanent space loss.
+// Package stagedfree defines an Analyzer enforcing the release obligation
+// of the page store's commit unit. A Batch that frees extents keeps them
+// readable after it commits — concurrent readers of the previous version
+// table still name them — until the writer calls Release, after
+// publishing the table that no longer does. A path that returns without
+// releasing leaks the freed extents in the backend's resident extent table
+// until restart (replay drops them), silently turning the free into lost
+// space.
 //
 // The check is a must-release obligation over the flow walker: every
-// FreeStaged(x) plants an obligation keyed by the argument expression,
-// ReleaseStaged(x) or UnfreeStaged(x) discharges it, and any function
-// exit (including implicit final returns and error returns, with
-// deferred calls applied) still holding the obligation is a finding at
-// the FreeStaged site. The walker unions facts at joins, so the
-// obligation is reported unless EVERY non-panic path discharges it —
-// the conservative direction for a leak check. Panic paths are exempt:
-// the process is going down and recovery-time accounting rebuilds the
-// free map anyway.
+// b.Free(x) on a value of a type named Batch plants an obligation keyed by
+// the batch expression, b.Release() discharges it, and any function exit
+// (including implicit final returns and error returns, with deferred
+// calls applied) still holding the obligation is a finding at the Free
+// site. Releasing a batch that did not commit does nothing, so failure
+// paths release too: `defer b.Release()` next to Begin covers every
+// path. The walker unions facts at joins, so the obligation is reported
+// unless EVERY non-panic path discharges it — the conservative direction
+// for a leak check. Panic paths are exempt: the process is going down and
+// replay rebuilds the extent table anyway.
 package stagedfree
 
 import (
@@ -30,12 +32,12 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "stagedfree",
-	Doc:  "every FreeStaged must reach ReleaseStaged or UnfreeStaged on all non-panic paths, including error returns",
+	Doc:  "every Batch.Free must reach the batch's Release on all non-panic paths, including error returns",
 	Run:  run,
 }
 
-// targetSegments gates the check to the packages that participate in the
-// two-phase free protocol.
+// targetSegments gates the check to the packages that free extents
+// through a batch.
 var targetSegments = map[string]bool{
 	"store":     true,
 	"core":      true,
@@ -61,37 +63,43 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// obligationKey names a staged free by its argument expression, so the
-// release must mention the same extents: FreeStaged(old) pairs with
-// ReleaseStaged(old), not with a release of some other batch.
-func obligationKey(call *ast.CallExpr) string {
-	if len(call.Args) == 0 {
-		return "()"
+// batchMethod returns the method name and the receiver expression of a
+// method call on a value whose (pointer-stripped) type is named Batch.
+func batchMethod(pass *analysis.Pass, call *ast.CallExpr) (string, string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", "", false
 	}
-	return types.ExprString(call.Args[0])
-}
-
-// methodName returns the selector name of a method-style call, or "".
-func methodName(call *ast.CallExpr) string {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.Sel.Name
+	t := pass.TypesInfo.TypeOf(sel.X)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	return ""
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != "Batch" {
+		return "", "", false
+	}
+	return sel.Sel.Name, types.ExprString(sel.X), true
 }
 
 func check(pass *analysis.Pass, fd *ast.FuncDecl) int {
 	// leaks collects obligation positions still live at some exit; a map
-	// dedupes the same FreeStaged reported from multiple exits.
+	// dedupes the same Free reported from multiple exits.
 	leaks := make(map[token.Pos]string)
 	sites := 0
 	flow.Walk(fd.Body, flow.Hooks{
 		Call: func(st flow.Facts, call *ast.CallExpr) {
-			switch methodName(call) {
-			case "FreeStaged":
+			name, batch, ok := batchMethod(pass, call)
+			if !ok {
+				return
+			}
+			switch name {
+			case "Free":
 				sites++
-				st["staged:"+obligationKey(call)] = call.Pos()
-			case "ReleaseStaged", "UnfreeStaged":
-				delete(st, "staged:"+obligationKey(call))
+				if _, held := st["freed:"+batch]; !held {
+					st["freed:"+batch] = call.Pos()
+				}
+			case "Release":
+				delete(st, "freed:"+batch)
 			}
 		},
 		Exit: func(st flow.Facts, at ast.Node) {
@@ -107,8 +115,8 @@ func check(pass *analysis.Pass, fd *ast.FuncDecl) int {
 	sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
 	for _, pos := range positions {
 		pass.Reportf(pos,
-			"FreeStaged not released on all paths: some return is missing ReleaseStaged or UnfreeStaged for %s",
-			leaks[pos][len("staged:"):])
+			"Batch.Free not released on all paths: some return is missing %s.Release()",
+			leaks[pos][len("freed:"):])
 	}
 	return sites
 }

@@ -10,7 +10,7 @@ import (
 
 func TestStagedfree(t *testing.T) {
 	// The fixture's path segment "store" is inside the analyzer gate:
-	// every staged free must be released or unfreed on all non-panic
+	// every Batch.Free must reach the batch's Release on all non-panic
 	// paths, including error returns.
 	analysistest.Run(t, "testdata/src/store", stagedfree.Analyzer)
 }

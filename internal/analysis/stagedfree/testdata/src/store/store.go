@@ -1,77 +1,120 @@
 // Fixture for the stagedfree analyzer. The path segment "store" puts
 // this package inside the gate. The shapes mirror the real commit path:
-// stage the old extents, publish, release — with the error path required
-// to unfree instead.
+// stage writes and frees in a batch, commit, publish, release — with the
+// error paths required to release too (a no-op on a batch that did not
+// commit).
 package store
 
 import "errors"
 
+type Ref struct{ Start int64 }
+
+type Batch struct{}
+
+func (*Batch) Write(data []byte) Ref { return Ref{} }
+func (*Batch) Free(ref Ref)          {}
+func (*Batch) Commit() error         { return nil }
+func (*Batch) Release()              {}
+
 type pages struct{}
 
-func (pages) FreeStaged(ids []uint64)    {}
-func (pages) ReleaseStaged(ids []uint64) {}
-func (pages) UnfreeStaged(ids []uint64)  {}
+func (pages) Begin() *Batch { return &Batch{} }
+
+// heap is not a batch: its Free is outside the obligation.
+type heap struct{}
+
+func (heap) Free(ref Ref) {}
 
 var errBoom = errors.New("boom")
 
-// commitGood discharges the staging on both the error and success paths.
-func commitGood(p pages, old []uint64, fail bool) error {
-	p.FreeStaged(old)
+// commitDeferred releases through a defer next to Begin, which covers
+// every return: the idiomatic shape.
+func commitDeferred(p pages, old Ref, fail bool) error {
+	b := p.Begin()
+	defer b.Release()
+	b.Write(nil)
+	b.Free(old)
+	if err := b.Commit(); err != nil {
+		return err
+	}
 	if fail {
-		p.UnfreeStaged(old)
 		return errBoom
 	}
-	p.ReleaseStaged(old)
 	return nil
 }
 
-// commitErrLeak forgets the error path: the staged extents leak when the
-// publish fails.
-func commitErrLeak(p pages, old []uint64, fail bool) error {
-	p.FreeStaged(old) // want "FreeStaged not released on all paths"
+// commitExplicit releases on both the error and success paths.
+func commitExplicit(p pages, old Ref) error {
+	b := p.Begin()
+	b.Free(old)
+	if err := b.Commit(); err != nil {
+		b.Release()
+		return err
+	}
+	b.Release()
+	return nil
+}
+
+// commitErrLeak forgets the error path.
+func commitErrLeak(p pages, old Ref, fail bool) error {
+	b := p.Begin()
+	b.Free(old) // want "Batch.Free not released on all paths"
+	if err := b.Commit(); err != nil {
+		return err
+	}
 	if fail {
 		return errBoom
 	}
-	p.ReleaseStaged(old)
+	b.Release()
 	return nil
 }
 
 // commitNoRelease never discharges at all.
-func commitNoRelease(p pages, old []uint64) {
-	p.FreeStaged(old) // want "FreeStaged not released on all paths"
+func commitNoRelease(p pages, old Ref) error {
+	b := p.Begin()
+	b.Free(old) // want "Batch.Free not released on all paths"
+	return b.Commit()
 }
 
-// commitDeferred releases through a defer, which covers every return.
-func commitDeferred(p pages, old []uint64, fail bool) error {
-	p.FreeStaged(old)
-	defer p.ReleaseStaged(old)
-	if fail {
-		return errBoom
-	}
-	return nil
+// commitNoFree writes but frees nothing: there is nothing to release.
+func commitNoFree(p pages) error {
+	b := p.Begin()
+	b.Write(nil)
+	return b.Commit()
 }
 
-// commitPanic is clean: panic paths are exempt (recovery-time accounting
-// rebuilds the free map), and the surviving path releases.
-func commitPanic(p pages, old []uint64, fail bool) {
-	p.FreeStaged(old)
+// commitPanic is clean: panic paths are exempt (replay rebuilds the
+// extent table), and the surviving path releases.
+func commitPanic(p pages, old Ref, fail bool) {
+	b := p.Begin()
+	b.Free(old)
 	if fail {
 		panic("corrupt")
 	}
-	p.ReleaseStaged(old)
+	_ = b.Commit()
+	b.Release()
 }
 
-// wrongBatch releases a different batch than it staged: the obligation
-// is keyed by argument, so this is still a leak of old.
-func wrongBatch(p pages, old, other []uint64) {
-	p.FreeStaged(old) // want "FreeStaged not released on all paths"
-	p.ReleaseStaged(other)
+// wrongBatch releases a different batch than the one that freed: the
+// obligation is keyed by the batch, so this is still a leak.
+func wrongBatch(p pages, old Ref) {
+	b, other := p.Begin(), p.Begin()
+	b.Free(old) // want "Batch.Free not released on all paths"
+	_ = b.Commit()
+	other.Release()
 }
 
-// commitLoop stages and releases inside one loop iteration: clean.
-func commitLoop(p pages, batches [][]uint64) {
-	for _, b := range batches {
-		p.FreeStaged(b)
-		p.ReleaseStaged(b)
+// commitLoop commits and releases one batch per iteration: clean.
+func commitLoop(p pages, olds []Ref) {
+	for _, old := range olds {
+		b := p.Begin()
+		b.Free(old)
+		_ = b.Commit()
+		b.Release()
 	}
+}
+
+// heapFree frees through a type that is not a batch: no obligation.
+func heapFree(h heap, old Ref) {
+	h.Free(old)
 }

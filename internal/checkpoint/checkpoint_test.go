@@ -21,18 +21,27 @@ func buildLog(t *testing.T, dir string, commits int) *pagestore.SegmentedWAL {
 		t.Fatalf("OpenSegmentedWAL: %v", err)
 	}
 	for i := 0; i < commits; i++ {
-		data := []byte(fmt.Sprintf("extent-%03d-payload-padding-padding", i))
-		if err := w.Put(int64(i), pagestore.Extent{Data: data, Pages: 1, Sum: pagestore.Checksum(data)}); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		if err := w.PutMetaDelta([]byte(fmt.Sprintf(`{"doc":%d}`, i))); err != nil {
-			t.Fatalf("PutMetaDelta: %v", err)
-		}
-		if err := w.Commit(); err != nil {
-			t.Fatalf("Commit: %v", err)
-		}
+		commitExtent(t, w, i, []byte(fmt.Sprintf(`{"doc":%d}`, i)))
 	}
 	return w
+}
+
+// commitExtent commits one batch holding extent i (at page i: the log's
+// extents are allocated one page each, in order) and, if given, a metadata
+// delta.
+func commitExtent(t *testing.T, w *pagestore.SegmentedWAL, i int, delta []byte) {
+	t.Helper()
+	b := pagestore.New(pagestore.Config{Backend: w}).Begin()
+	ref := b.Write(0, []byte(fmt.Sprintf("extent-%03d-payload-padding-padding", i)))
+	if ref.Start != int64(i) {
+		t.Fatalf("extent %d allocated at page %d", i, ref.Start)
+	}
+	if delta != nil {
+		b.SetMetaDelta(delta)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
 }
 
 // capture builds a Snapshot from the live WAL plus engine blobs.
@@ -83,13 +92,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// Three more commits after the checkpoint.
 	for i := 6; i < 9; i++ {
-		data := []byte(fmt.Sprintf("extent-%03d-payload-padding-padding", i))
-		if err := w.Put(int64(i), pagestore.Extent{Data: data, Pages: 1, Sum: pagestore.Checksum(data)}); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		if err := w.Commit(); err != nil {
-			t.Fatalf("Commit: %v", err)
-		}
+		commitExtent(t, w, i, nil)
 	}
 	w.Close()
 
@@ -295,13 +298,7 @@ func TestFallbackToOlderImage(t *testing.T) {
 	}
 	// More commits, second checkpoint.
 	for i := 3; i < 6; i++ {
-		data := []byte(fmt.Sprintf("extent-%03d-payload-padding-padding", i))
-		if err := w.Put(int64(i), pagestore.Extent{Data: data, Pages: 1, Sum: pagestore.Checksum(data)}); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		if err := w.Commit(); err != nil {
-			t.Fatalf("Commit: %v", err)
-		}
+		commitExtent(t, w, i, nil)
 	}
 	stats2, err := ck.Run(w, capture(w, "new", nil))
 	if err != nil {
@@ -343,13 +340,7 @@ func TestCompactRetention(t *testing.T) {
 	if _, err := ck.Run(w, capture(w, "", nil)); err != nil {
 		t.Fatalf("Run 1: %v", err)
 	}
-	data := []byte("extent-xxx-payload-padding-padding!!")
-	if err := w.Put(100, pagestore.Extent{Data: data, Pages: 1, Sum: pagestore.Checksum(data)}); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
+	commitExtent(t, w, 4, nil)
 	stats2, err := ck.Run(w, capture(w, "", nil))
 	if err != nil {
 		t.Fatalf("Run 2: %v", err)

@@ -130,9 +130,9 @@ type counted struct {
 	commits atomic.Int64
 }
 
-func (c *counted) Commit() error {
+func (c *counted) Commit(b *pagestore.Batch) error {
 	c.commits.Add(1)
-	return c.Backend.Commit()
+	return c.Backend.Commit(b)
 }
 
 // target is one engine under comparison: a single core.DB or a router.

@@ -37,37 +37,33 @@ func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // Backend is the persistence tier under a Store. The Store keeps the
 // accounting, placement and caching logic; a backend only has to remember
-// extents and an opaque metadata blob, and to make both durable on Commit.
+// extents and an opaque metadata blob, and to apply each committed Batch
+// whole or not at all.
 //
 // Implementations: the in-memory backend (volatile, the original simulated
 // disk), the segmented WAL (durable, see segwal.go) and the fault injector
 // (a decorator over either, see fault.go).
 type Backend interface {
-	// Put stores the extent at the given start page, replacing any
-	// previous extent there.
-	Put(start int64, ext Extent) error
+	// Commit applies a batch atomically: its extents, metadata blob and
+	// metadata deltas become visible (and, on a durable backend, survive a
+	// crash) together, or — when Commit returns an error — none of them
+	// does and the backend is as before. The batch's frees are recorded but
+	// the freed extents stay readable until Release.
+	Commit(b *Batch) error
+	// Release drops the extents a committed batch freed. The Store calls it
+	// once no published version table names them any longer.
+	Release(b *Batch)
 	// Get returns the extent at the start page, or an error wrapping
 	// ErrUnknownExtent.
 	Get(start int64) (Extent, error)
-	// Delete removes the extent; deleting an absent extent is a no-op.
-	Delete(start int64) error
-	// PutMeta replaces the opaque metadata blob (the version store
-	// serializes its delta index into it) and drops the deltas logged on
-	// top of the previous one.
-	PutMeta(meta []byte) error
-	// Meta returns the current metadata blob, nil if none was stored.
+	// Meta returns the last committed metadata blob (the version store's
+	// serialized delta index), nil if none was stored.
 	Meta() []byte
-	// PutMetaDelta appends an incremental metadata record on top of the
-	// last PutMeta blob instead of rewriting it, so that per-commit
-	// metadata cost is proportional to the mutated document, not the whole
-	// catalog.
-	PutMetaDelta(delta []byte) error
-	// MetaDeltas returns, in append order, the deltas logged since the last
-	// PutMeta; after recovery, the committed ones.
+	// MetaDeltas returns, in commit order, the incremental metadata records
+	// committed since the last metadata blob; after recovery, the committed
+	// ones. They keep per-commit metadata cost proportional to the mutated
+	// document, not the whole catalog.
 	MetaDeltas() [][]byte
-	// Commit is the durability barrier: everything written before it must
-	// survive a crash. Volatile backends treat it as a no-op.
-	Commit() error
 	// Range calls fn for every stored extent until fn returns false.
 	Range(fn func(start int64, ext Extent) bool)
 	// NextPage returns the allocation high-water mark: one past the last
@@ -75,8 +71,8 @@ type Backend interface {
 	// after recovery).
 	NextPage() int64
 	// Durable reports whether Commit provides crash durability. The
-	// version store uses it to decide whether metadata snapshots are
-	// worth writing.
+	// version store uses it to decide whether metadata records are worth
+	// writing.
 	Durable() bool
 	// Close releases resources; the backend is unusable afterwards.
 	Close() error
@@ -113,14 +109,32 @@ type memory struct {
 // NewMemory returns an empty volatile backend.
 func NewMemory() Backend { return &memory{extents: make(map[int64]Extent)} }
 
-func (m *memory) Put(start int64, ext Extent) error {
+func (m *memory) Commit(b *Batch) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.extents[start] = ext
-	if end := start + int64(ext.Pages); end > m.next {
-		m.next = end
+	for _, op := range b.ops {
+		switch op.kind {
+		case recExtent:
+			m.extents[op.start] = op.ext
+			if end := op.start + int64(op.ext.Pages); end > m.next {
+				m.next = end
+			}
+		case recMeta:
+			m.meta = op.meta
+			m.deltas = nil
+		case recMetaDelta:
+			m.deltas = append(m.deltas, op.meta)
+		}
 	}
 	return nil
+}
+
+func (m *memory) Release(b *Batch) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, start := range b.freed {
+		delete(m.extents, start)
+	}
 }
 
 func (m *memory) Get(start int64) (Extent, error) {
@@ -133,32 +147,10 @@ func (m *memory) Get(start int64) (Extent, error) {
 	return ext, nil
 }
 
-func (m *memory) Delete(start int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.extents, start)
-	return nil
-}
-
-func (m *memory) PutMeta(meta []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.meta = append([]byte(nil), meta...)
-	m.deltas = nil
-	return nil
-}
-
 func (m *memory) Meta() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.meta
-}
-
-func (m *memory) PutMetaDelta(delta []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.deltas = append(m.deltas, append([]byte(nil), delta...))
-	return nil
 }
 
 func (m *memory) MetaDeltas() [][]byte {
@@ -166,8 +158,6 @@ func (m *memory) MetaDeltas() [][]byte {
 	defer m.mu.Unlock()
 	return m.deltas
 }
-
-func (m *memory) Commit() error { return nil }
 
 func (m *memory) Range(fn func(start int64, ext Extent) bool) {
 	m.mu.Lock()

@@ -10,19 +10,19 @@ import (
 )
 
 // countingBackend decorates a backend and counts Commit calls, optionally
-// failing scripted ones.
+// failing scripted ones before the inner backend sees them.
 type countingBackend struct {
 	Backend
 	commits atomic.Int64
 	failSet sync.Map // commit ordinal (1-based) -> struct{}
 }
 
-func (c *countingBackend) Commit() error {
+func (c *countingBackend) Commit(b *Batch) error {
 	n := c.commits.Add(1)
 	if _, fail := c.failSet.Load(n); fail {
 		return fmt.Errorf("scripted fsync failure at commit %d", n)
 	}
-	return c.Backend.Commit()
+	return c.Backend.Commit(b)
 }
 
 func TestGroupCommitAmortizesSyncs(t *testing.T) {
@@ -39,11 +39,9 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < commitsPer; i++ {
-				if _, err := s.Write(w, []byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
-					errs[w] = err
-					return
-				}
-				if err := s.Commit(); err != nil {
+				b := s.Begin()
+				b.Write(w, []byte(fmt.Sprintf("w%d-%d", w, i)))
+				if err := b.Commit(); err != nil {
 					errs[w] = err
 					return
 				}
@@ -81,7 +79,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 func TestGroupCommitMaxBatchSealsEarly(t *testing.T) {
 	var flushes atomic.Int64
 	release := make(chan struct{})
-	g := NewGroupCommitter(func() error {
+	g := NewGroupCommitter(func(*Batch) error {
 		flushes.Add(1)
 		return nil
 	}, time.Hour, 4) // window effectively infinite: only maxBatch can seal
@@ -93,7 +91,7 @@ func TestGroupCommitMaxBatchSealsEarly(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-release
-			if err := g.Commit(); err != nil {
+			if err := g.Commit(&Batch{}); err != nil {
 				t.Errorf("Commit: %v", err)
 			}
 		}()
@@ -114,7 +112,7 @@ func TestGroupCommitMaxBatchSealsEarly(t *testing.T) {
 func TestGroupCommitFailureFansOutTypedErrors(t *testing.T) {
 	fail := atomic.Bool{}
 	fail.Store(true)
-	g := NewGroupCommitter(func() error {
+	g := NewGroupCommitter(func(*Batch) error {
 		if fail.Load() {
 			return fmt.Errorf("disk on fire")
 		}
@@ -129,7 +127,7 @@ func TestGroupCommitFailureFansOutTypedErrors(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = g.Commit()
+			errs[i] = g.Commit(&Batch{})
 		}(i)
 	}
 	wg.Wait()
@@ -153,7 +151,7 @@ func TestGroupCommitFailureFansOutTypedErrors(t *testing.T) {
 	}
 	// Later batches are independent of the failed one.
 	fail.Store(false)
-	if err := g.Commit(); err != nil {
+	if err := g.Commit(&Batch{}); err != nil {
 		t.Fatalf("commit after failed batch: %v", err)
 	}
 	_ = batches
@@ -169,11 +167,11 @@ func TestGroupCommitStoreFsyncFailureKeepsLaterBatchesWorking(t *testing.T) {
 	s := New(Config{Backend: cb, GroupWindow: time.Millisecond})
 	defer s.Close()
 
-	err := s.Commit()
+	err := s.Begin().Commit()
 	if err == nil || !errors.Is(err, ErrGroupCommit) {
 		t.Fatalf("first commit: got %v, want ErrGroupCommit", err)
 	}
-	if err := s.Commit(); err != nil {
+	if err := s.Begin().Commit(); err != nil {
 		t.Fatalf("second commit after failed batch: %v", err)
 	}
 }
@@ -181,7 +179,7 @@ func TestGroupCommitStoreFsyncFailureKeepsLaterBatchesWorking(t *testing.T) {
 func TestGroupCommitCloseDrainsAndRejectsLater(t *testing.T) {
 	var flushes atomic.Int64
 	slow := make(chan struct{})
-	g := NewGroupCommitter(func() error {
+	g := NewGroupCommitter(func(*Batch) error {
 		<-slow
 		flushes.Add(1)
 		return nil
@@ -190,7 +188,7 @@ func TestGroupCommitCloseDrainsAndRejectsLater(t *testing.T) {
 	var commitErr error
 	done := make(chan struct{})
 	go func() {
-		commitErr = g.Commit()
+		commitErr = g.Commit(&Batch{})
 		close(done)
 	}()
 	// Let the commit join a batch, then close concurrently with the flush.
@@ -204,7 +202,7 @@ func TestGroupCommitCloseDrainsAndRejectsLater(t *testing.T) {
 	if flushes.Load() != 1 {
 		t.Fatalf("flushes = %d, want 1", flushes.Load())
 	}
-	if err := g.Commit(); !errors.Is(err, ErrCommitterClosed) {
+	if err := g.Commit(&Batch{}); !errors.Is(err, ErrCommitterClosed) {
 		t.Fatalf("commit after close: got %v, want ErrCommitterClosed", err)
 	}
 	g.Close() // idempotent
@@ -212,7 +210,7 @@ func TestGroupCommitCloseDrainsAndRejectsLater(t *testing.T) {
 
 func TestGroupCommitRaceStress(t *testing.T) {
 	var n atomic.Int64
-	g := NewGroupCommitter(func() error {
+	g := NewGroupCommitter(func(*Batch) error {
 		if n.Add(1)%7 == 0 {
 			return fmt.Errorf("periodic failure")
 		}
@@ -227,7 +225,7 @@ func TestGroupCommitRaceStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				switch err := g.Commit(); {
+				switch err := g.Commit(&Batch{}); {
 				case err == nil:
 					okCount.Add(1)
 				case errors.Is(err, ErrGroupCommit):

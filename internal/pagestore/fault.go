@@ -8,12 +8,12 @@ import (
 )
 
 // The fault injector is a Backend decorator that scripts storage failures
-// deterministically: read errors (transient or permanent), torn writes
-// (only a prefix of the payload persists) and bit flips, each fired at a
-// chosen operation count. Failure tests build a store over an injected
-// backend instead of reaching into storage internals, and the seedable
-// randomness (which bit flips, how much of a torn write survives) makes
-// every run reproducible.
+// deterministically: read errors (transient or permanent), failed commits,
+// torn writes (only a prefix of the payload persists) and bit flips, each
+// fired at a chosen operation count. Failure tests build a store over an
+// injected backend instead of reaching into storage internals, and the
+// seedable randomness (which bit flips, how much of a torn write survives)
+// makes every run reproducible.
 
 // FaultOp selects which backend operation a rule applies to.
 type FaultOp int
@@ -21,9 +21,10 @@ type FaultOp int
 const (
 	// FaultRead fires on Get.
 	FaultRead FaultOp = iota
-	// FaultWrite fires on Put.
+	// FaultWrite fires on an extent record of a committed batch, counted
+	// in staging order. An error fails the whole commit.
 	FaultWrite
-	// FaultCommit fires on Commit.
+	// FaultCommit fires on Commit. An error fails the whole commit.
 	FaultCommit
 )
 
@@ -110,7 +111,7 @@ type Injector struct {
 	inner  Backend
 	rnd    *rand.Rand
 	rules  []FaultRule
-	outage bool // every Get/Put/Commit fails transient while set
+	outage bool // every Get and Commit fails transient while set
 	reads  int64
 	writes int64
 	commit int64
@@ -131,7 +132,7 @@ func (in *Injector) Script(rules ...FaultRule) *Injector {
 	return in
 }
 
-// SetOutage toggles a whole-device outage: while set, every Get, Put and
+// SetOutage toggles a whole-device outage: while set, every Get and
 // Commit fails with an error wrapping ErrTransient, independent of the
 // scheduled rules. Chaos campaigns use it for fail-then-heal windows whose
 // boundaries are decided by the campaign, not by operation counts.
@@ -177,33 +178,47 @@ func (in *Injector) match(op FaultOp, n int64) (FaultRule, bool) {
 func (in *Injector) CorruptExtent(start int64) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	//txvet:ignore lockhold fault injector is a test harness wrapping a memory backend; in.mu sequences faults deterministically
+	in.fired++
+	return in.corruptLocked(start)
+}
+
+// corruptLocked rewrites the stored extent with one bit flipped. Callers
+// hold in.mu.
+func (in *Injector) corruptLocked(start int64) error {
 	ext, err := in.inner.Get(start)
 	if err != nil {
 		return err
 	}
+	return in.inner.Commit(&Batch{ops: []pendingOp{{kind: recExtent, start: start, ext: in.flipLocked(ext)}}})
+}
+
+// flipLocked returns a copy of ext with one random payload bit flipped, or
+// with a wrong checksum when there is no payload.
+func (in *Injector) flipLocked(ext Extent) Extent {
 	if len(ext.Data) == 0 {
 		// No payload bits to flip: corrupt the checksum instead.
 		ext.Sum ^= 1
-	} else {
-		data := append([]byte(nil), ext.Data...)
-		i := in.rnd.Intn(len(data))
-		data[i] ^= 1 << uint(in.rnd.Intn(8))
-		ext.Data = data
+		return ext
 	}
-	in.fired++
-	//txvet:ignore lockhold fault injector is a test harness wrapping a memory backend; in.mu sequences faults deterministically
-	return in.inner.Put(start, ext)
+	data := append([]byte(nil), ext.Data...)
+	i := in.rnd.Intn(len(data))
+	data[i] ^= 1 << uint(in.rnd.Intn(8))
+	ext.Data = data
+	return ext
 }
 
 // DropExtent silently loses the stored extent (an unreadable sector),
 // independent of the schedule.
 func (in *Injector) DropExtent(start int64) error {
 	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.fired++
-	//txvet:ignore lockhold fault injector is a test harness wrapping a memory backend; in.mu sequences faults deterministically
-	return in.inner.Delete(start)
+	in.mu.Unlock()
+	b := &Batch{ops: []pendingOp{{kind: recFree, start: start}}, freed: []int64{start}}
+	if err := in.inner.Commit(b); err != nil {
+		return err
+	}
+	in.inner.Release(b)
+	return nil
 }
 
 func (in *Injector) Get(start int64) (Extent, error) {
@@ -226,7 +241,10 @@ func (in *Injector) Get(start int64) (Extent, error) {
 		case FaultPermanent:
 			return Extent{}, fmt.Errorf("pagestore: injected permanent read fault (read #%d)", n)
 		case FaultBitFlip:
-			if err := in.corruptLocked(start); err != nil {
+			in.mu.Lock()
+			err := in.corruptLocked(start)
+			in.mu.Unlock()
+			if err != nil {
 				return Extent{}, err
 			}
 		case FaultLatency:
@@ -236,68 +254,12 @@ func (in *Injector) Get(start int64) (Extent, error) {
 	return in.inner.Get(start)
 }
 
-// corruptLocked is CorruptExtent without double-counting fired.
-func (in *Injector) corruptLocked(start int64) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	//txvet:ignore lockhold fault injector is a test harness wrapping a memory backend; in.mu sequences faults deterministically
-	ext, err := in.inner.Get(start)
-	if err != nil {
-		return err
-	}
-	if len(ext.Data) == 0 {
-		ext.Sum ^= 1
-	} else {
-		data := append([]byte(nil), ext.Data...)
-		i := in.rnd.Intn(len(data))
-		data[i] ^= 1 << uint(in.rnd.Intn(8))
-		ext.Data = data
-	}
-	//txvet:ignore lockhold fault injector is a test harness wrapping a memory backend; in.mu sequences faults deterministically
-	return in.inner.Put(start, ext)
-}
-
-func (in *Injector) Put(start int64, ext Extent) error {
-	in.mu.Lock()
-	in.writes++
-	n := in.writes
-	down := in.outage
-	r, hit := in.match(FaultWrite, n)
-	if hit || down {
-		in.fired++
-	}
-	var torn Extent
-	if hit && r.Kind == FaultTornWrite && len(ext.Data) > 0 {
-		keep := in.rnd.Intn(len(ext.Data)) // strict (possibly empty) prefix
-		torn = Extent{Data: ext.Data[:keep:keep], Pages: ext.Pages, Sum: ext.Sum}
-	}
-	in.mu.Unlock()
-	if down {
-		return fmt.Errorf("injected outage write fault (write #%d): %w", n, ErrTransient)
-	}
-	if hit {
-		switch r.Kind {
-		case FaultTransient:
-			return fmt.Errorf("injected transient write fault (write #%d): %w", n, ErrTransient)
-		case FaultPermanent:
-			return fmt.Errorf("pagestore: injected permanent write fault (write #%d)", n)
-		case FaultTornWrite:
-			if len(ext.Data) > 0 {
-				return in.inner.Put(start, torn)
-			}
-		case FaultBitFlip:
-			if err := in.inner.Put(start, ext); err != nil {
-				return err
-			}
-			return in.corruptLocked(start)
-		case FaultLatency:
-			time.Sleep(r.Delay)
-		}
-	}
-	return in.inner.Put(start, ext)
-}
-
-func (in *Injector) Commit() error {
+// Commit runs the batch through the schedule — the commit rule, then a
+// write rule per extent record — and hands the surviving batch to the
+// inner backend. A failing rule fails the whole commit before the inner
+// backend sees any of it; torn writes and bit flips persist damaged copies
+// of the extents under their original checksums.
+func (in *Injector) Commit(b *Batch) error {
 	in.mu.Lock()
 	in.commit++
 	n := in.commit
@@ -306,27 +268,65 @@ func (in *Injector) Commit() error {
 	if hit || down {
 		in.fired++
 	}
-	in.mu.Unlock()
-	if down {
-		return fmt.Errorf("injected outage commit fault (commit #%d): %w", n, ErrTransient)
+	var delay time.Duration
+	var err error
+	switch {
+	case down:
+		err = fmt.Errorf("injected outage commit fault (commit #%d): %w", n, ErrTransient)
+	case hit && r.Kind == FaultTransient:
+		err = fmt.Errorf("injected transient commit fault (commit #%d): %w", n, ErrTransient)
+	case hit && r.Kind == FaultLatency:
+		delay = r.Delay
+	case hit:
+		err = fmt.Errorf("pagestore: injected permanent commit fault (commit #%d)", n)
 	}
-	if hit {
+	out := b
+	for i := 0; err == nil && i < len(b.ops); i++ {
+		op := b.ops[i]
+		if op.kind != recExtent {
+			continue
+		}
+		in.writes++
+		w := in.writes
+		r, hit := in.match(FaultWrite, w)
+		if !hit {
+			continue
+		}
+		in.fired++
 		switch r.Kind {
 		case FaultTransient:
-			return fmt.Errorf("injected transient commit fault (commit #%d): %w", n, ErrTransient)
+			err = fmt.Errorf("injected transient write fault (write #%d): %w", w, ErrTransient)
+			continue
+		case FaultPermanent:
+			err = fmt.Errorf("pagestore: injected permanent write fault (write #%d)", w)
+			continue
 		case FaultLatency:
-			time.Sleep(r.Delay)
-		default:
-			return fmt.Errorf("pagestore: injected permanent commit fault (commit #%d)", n)
+			delay += r.Delay
+			continue
+		case FaultTornWrite:
+			if len(op.ext.Data) == 0 {
+				continue
+			}
+			keep := in.rnd.Intn(len(op.ext.Data)) // strict (possibly empty) prefix
+			op.ext.Data = op.ext.Data[:keep:keep]
+		case FaultBitFlip:
+			op.ext = in.flipLocked(op.ext)
 		}
+		if out == b {
+			out = &Batch{ops: append([]pendingOp(nil), b.ops...)}
+		}
+		out.ops[i] = op
 	}
-	return in.inner.Commit()
+	in.mu.Unlock()
+	time.Sleep(delay)
+	if err != nil {
+		return err
+	}
+	return in.inner.Commit(out)
 }
 
-func (in *Injector) Delete(start int64) error          { return in.inner.Delete(start) }
-func (in *Injector) PutMeta(meta []byte) error         { return in.inner.PutMeta(meta) }
+func (in *Injector) Release(b *Batch)                  { in.inner.Release(b) }
 func (in *Injector) Meta() []byte                      { return in.inner.Meta() }
-func (in *Injector) PutMetaDelta(delta []byte) error   { return in.inner.PutMetaDelta(delta) }
 func (in *Injector) MetaDeltas() [][]byte              { return in.inner.MetaDeltas() }
 func (in *Injector) Range(fn func(int64, Extent) bool) { in.inner.Range(fn) }
 func (in *Injector) NextPage() int64                   { return in.inner.NextPage() }

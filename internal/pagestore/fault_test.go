@@ -110,13 +110,13 @@ func TestInjectorCommitFault(t *testing.T) {
 		FaultRule{Op: FaultCommit, Kind: FaultTransient, At: 1},
 		FaultRule{Op: FaultCommit, Kind: FaultPermanent, At: 2},
 	)
-	if err := inj.Commit(); !errors.Is(err, ErrTransient) {
+	if err := inj.Commit(&Batch{}); !errors.Is(err, ErrTransient) {
 		t.Fatalf("commit #1 = %v, want ErrTransient", err)
 	}
-	if err := inj.Commit(); err == nil || errors.Is(err, ErrTransient) {
+	if err := inj.Commit(&Batch{}); err == nil || errors.Is(err, ErrTransient) {
 		t.Fatalf("commit #2 = %v, want permanent error", err)
 	}
-	if err := inj.Commit(); err != nil {
+	if err := inj.Commit(&Batch{}); err != nil {
 		t.Fatalf("commit #3: %v", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestFreeZeroRefIsNoOp(t *testing.T) {
 	if ref.Start != 0 {
 		t.Fatalf("first extent at page %d, want 0", ref.Start)
 	}
-	s.Free(Ref{})
+	mustFree(t, s, Ref{})
 	data, err := s.Read(ref)
 	if err != nil {
 		t.Fatalf("extent at page 0 destroyed by Free(Ref{}): %v", err)

@@ -12,10 +12,13 @@
 //
 // Persistence is pluggable through the Backend interface: the default
 // in-memory backend is volatile (the original simulated disk), while the
-// write-ahead-log backend (wal.go) makes every committed extent durable
-// across process crashes. Every extent, on either backend, carries a CRC32
-// checksum computed at write time and verified on every read; a mismatch
-// surfaces as ErrCorrupt rather than as downstream XML parse failures.
+// segmented write-ahead log (segwal.go) makes every committed extent
+// durable across process crashes. Writes are staged in a Batch, the one
+// commit unit: its extents, frees and metadata reach the backend together
+// at Commit, or not at all. Every extent, on either backend, carries a
+// CRC32 checksum computed at write time and verified on every read; a
+// mismatch surfaces as ErrCorrupt rather than as downstream XML parse
+// failures.
 //
 // Two placement policies are provided:
 //
@@ -74,14 +77,16 @@ type Config struct {
 	// in-memory backend. Pass a segmented WAL (OpenSegmentedWAL) for
 	// durability, or a fault injector (NewInjector) for failure testing.
 	Backend Backend
-	// GroupWindow enables WAL group commit: Commit calls collect for up to
-	// this window (or until GroupMaxBatch of them wait) and share one
-	// backend Commit, so one fsync is amortized across the batch. Each
-	// caller still blocks until its batch's durability point. Zero (the
-	// default) keeps the synchronous one-fsync-per-commit path.
+	// GroupWindow is how long a committing writer that leads a group
+	// waits for others to join it before the group's single backend
+	// Commit (one write and one fsync on the WAL), or until GroupMaxBatch
+	// batches wait. Each caller still blocks until its group's durability
+	// point. Zero (the default) waits for nobody: a writer that finds no
+	// flush in flight flushes at once, taking along whatever queued
+	// behind the previous flush.
 	GroupWindow time.Duration
-	// GroupMaxBatch caps how many commits share one fsync before the batch
-	// is sealed early. Zero defaults to 64. Ignored unless GroupWindow > 0.
+	// GroupMaxBatch caps how many batches share one backend Commit before
+	// the group is sealed early. Zero defaults to 64.
 	GroupMaxBatch int
 }
 
@@ -158,8 +163,7 @@ type Store struct {
 	lastPos int64          // page position after the most recent read
 	stats   IOStats
 	cache   *lruCache
-	group   *GroupCommitter  // non-nil when cfg.GroupWindow > 0
-	limbo   map[int64]Extent // extents logged free but still readable (see FreeStaged)
+	group   *GroupCommitter
 }
 
 type arena struct {
@@ -189,12 +193,10 @@ func New(cfg Config) *Store {
 	if cfg.BufferPages > 0 {
 		s.cache = newLRU(cfg.BufferPages)
 	}
-	if cfg.GroupWindow > 0 {
-		// The flush function is the batch's single durability point; the
-		// backend serializes appends against its own fsync internally, so
-		// s.mu is not held across the device wait.
-		s.group = NewGroupCommitter(s.backend.Commit, cfg.GroupWindow, cfg.GroupMaxBatch)
-	}
+	// The backend's Commit is the group's single durability point; the
+	// backend serializes its appends internally, so s.mu is never held
+	// across the device wait.
+	s.group = NewGroupCommitter(s.backend.Commit, cfg.GroupWindow, cfg.GroupMaxBatch)
 	return s
 }
 
@@ -216,13 +218,30 @@ func (s *Store) pagesFor(n int) int32 {
 	return int32(p)
 }
 
-// Write stores a copy of data as a new extent belonging to the placement
-// group and returns its reference. Group is typically a document identifier.
-// The extent is checksummed; durable backends persist it at the next Commit.
-func (s *Store) Write(group int, data []byte) (Ref, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Batch is one commit unit, private to the writer that builds it: the
+// extents it writes, the extents it frees and the metadata records it
+// logs. Nothing reaches the backend before Commit, which applies all of it
+// or none of it, so a failed commit is undone by dropping the batch.
+// After a successful Commit the writer publishes whatever names the new
+// extents, then calls Release, which drops the freed ones: until then
+// concurrent readers of the previous version table can still read them.
+type Batch struct {
+	s         *Store
+	ops       []pendingOp // in staging order, as they are logged
+	freed     []int64     // start pages of the freed extents
+	committed bool
+}
+
+// Begin starts an empty batch on the store.
+func (s *Store) Begin() *Batch { return &Batch{s: s} }
+
+// Write allocates a new extent for a copy of data in the placement group
+// and stages it. Group is typically a document identifier. The extent is
+// checksummed now and readable once the batch commits.
+func (b *Batch) Write(group int, data []byte) Ref {
+	s := b.s
 	pages := s.pagesFor(len(data))
+	s.mu.Lock()
 	var start int64
 	if s.cfg.Placement == Clustered {
 		a := s.arenas[group]
@@ -245,17 +264,74 @@ func (s *Store) Write(group int, data []byte) (Ref, error) {
 		start = s.next
 		s.next += int64(pages)
 	}
-	ext := Extent{
+	s.stats.PageWrites += int64(pages)
+	s.mu.Unlock()
+	b.ops = append(b.ops, pendingOp{kind: recExtent, start: start, ext: Extent{
 		Data:  append([]byte(nil), data...),
 		Pages: pages,
 		Sum:   Checksum(data),
+	}})
+	return Ref{Start: start, Pages: pages, Len: int32(len(data))}
+}
+
+// Free stages the release of an extent. The pages are not reused (the disk
+// is append-only, like the paper's log-structured repositories); once the
+// batch commits and is released, the payload is dropped and further reads
+// fail. Freeing the zero Ref is a no-op: the zero value means "no extent",
+// never the extent at page 0.
+func (b *Batch) Free(ref Ref) {
+	if ref.Zero() {
+		return
 	}
-	//txvet:ignore lockhold backend Put is an in-memory/WAL-buffer append; the allocation cursor and the put must stay atomic under s.mu
-	if err := s.backend.Put(start, ext); err != nil {
-		return Ref{}, fmt.Errorf("pagestore: write at page %d: %w", start, err)
+	b.ops = append(b.ops, pendingOp{kind: recFree, start: ref.Start})
+	b.freed = append(b.freed, ref.Start)
+}
+
+// SetMeta stages an opaque metadata blob (the version store's serialized
+// delta index); once committed it replaces the previous blob and the
+// metadata deltas on top of it.
+func (b *Batch) SetMeta(meta []byte) {
+	b.ops = append(b.ops, pendingOp{kind: recMeta, meta: append([]byte(nil), meta...)})
+}
+
+// SetMetaDelta stages an incremental metadata record on top of the last
+// metadata blob.
+func (b *Batch) SetMetaDelta(delta []byte) {
+	b.ops = append(b.ops, pendingOp{kind: recMetaDelta, meta: append([]byte(nil), delta...)})
+}
+
+// Commit makes the batch durable, sharing the backend Commit with every
+// batch in its group (see Config.GroupWindow), and returns after the
+// group's durability point: nil on success, an error matching
+// ErrGroupCommit when the group's commit failed. A failed batch left
+// nothing in the backend.
+func (b *Batch) Commit() error {
+	if err := b.s.group.Commit(b); err != nil {
+		return err
 	}
-	s.stats.PageWrites += int64(pages)
-	return Ref{Start: start, Pages: pages, Len: int32(len(data))}, nil
+	b.committed = true
+	return nil
+}
+
+// Release drops the extents a committed batch freed, from the backend and
+// the buffer pool. Call it after publishing the version table that no
+// longer names them. Releasing a batch that did not commit does nothing.
+func (b *Batch) Release() {
+	if !b.committed || len(b.freed) == 0 {
+		return
+	}
+	s := b.s
+	// Backend first: once the pool entries are gone too, no read can
+	// bring the extents back.
+	s.backend.Release(b)
+	if s.cache != nil {
+		s.mu.Lock()
+		for _, start := range b.freed {
+			s.cache.drop(start)
+		}
+		s.mu.Unlock()
+	}
+	b.freed = nil
 }
 
 // Read returns the payload of the extent, charging page reads and a seek if
@@ -281,15 +357,10 @@ func (s *Store) Read(ref Ref) ([]byte, error) {
 		}
 		s.stats.CacheMisses++
 	}
-	//txvet:ignore lockhold backend Get is an in-memory lookup; the limbo fallback, head position and buffer pool must stay consistent with it under s.mu
+	//txvet:ignore lockhold backend Get is an in-memory lookup; head position and buffer pool must stay consistent with it under s.mu
 	ext, err := s.backend.Get(ref.Start)
 	if err != nil {
-		if lext, ok := s.limbo[ref.Start]; ok {
-			// Logged free, not yet published: still readable.
-			ext = lext
-		} else {
-			return nil, fmt.Errorf("pagestore: read of extent at page %d: %w", ref.Start, err)
-		}
+		return nil, fmt.Errorf("pagestore: read of extent at page %d: %w", ref.Start, err)
 	}
 	if err := verify(ref, ext); err != nil {
 		return nil, err
@@ -315,173 +386,34 @@ func verify(ref Ref, ext Extent) error {
 	return nil
 }
 
-// Free releases an extent. The pages are not reused (the disk is
-// append-only, like the paper's log-structured repositories), but the
-// payload is dropped and further reads fail. Freeing the zero Ref is a
-// no-op: the zero value means "no extent", never the extent at page 0.
-func (s *Store) Free(ref Ref) {
-	if ref.Zero() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//txvet:ignore lockhold backend Delete is an in-memory unlink; free-list and cache must stay consistent under s.mu
-	_ = s.backend.Delete(ref.Start)
-	if s.cache != nil {
-		s.cache.drop(ref.Start)
-	}
-	delete(s.limbo, ref.Start)
-}
-
-// FreeStaged logs the extent's release so the WAL free record precedes the
-// caller's next Commit marker — replay then drops the extent and the commit
-// atomically, exactly like a pre-commit Free — but parks the payload in a
-// limbo table that keeps it readable. Concurrent readers holding a version
-// table that still references the extent (the staged-mutation window
-// between the durability point and publication) are thus unaffected. The
-// caller must follow up with ReleaseStaged after publishing the successor
-// table, or UnfreeStaged after abandoning the commit.
-func (s *Store) FreeStaged(ref Ref) {
-	if ref.Zero() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//txvet:ignore lockhold backend Get/Delete are in-memory ops; limbo and free state must stay consistent under s.mu
-	ext, err := s.backend.Get(ref.Start)
-	if err != nil {
-		return // already gone; nothing to park
-	}
-	//txvet:ignore lockhold backend Delete is an in-memory unlink; limbo and free state must stay consistent under s.mu
-	if err := s.backend.Delete(ref.Start); err != nil {
-		return
-	}
-	if s.limbo == nil {
-		s.limbo = make(map[int64]Extent)
-	}
-	s.limbo[ref.Start] = ext
-}
-
-// ReleaseStaged drops a payload parked by FreeStaged once no published
-// version table references the extent any longer.
-func (s *Store) ReleaseStaged(ref Ref) {
-	if ref.Zero() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.limbo, ref.Start)
-	if s.cache != nil {
-		s.cache.drop(ref.Start)
-	}
-}
-
-// UnfreeStaged undoes a FreeStaged whose commit was abandoned: the parked
-// payload is written back under its original reference, so the published
-// version table that still names it keeps working. The rewrite appends a
-// fresh extent record, which is harmless on replay — committed alone it
-// restores the same bytes at the same pages; uncommitted it is ignored,
-// and so is the free record it compensates.
-func (s *Store) UnfreeStaged(ref Ref) error {
-	if ref.Zero() {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ext, ok := s.limbo[ref.Start]
-	if !ok {
-		return nil
-	}
-	//txvet:ignore lockhold backend Put is an in-memory/WAL-buffer append; limbo state must stay consistent under s.mu
-	if err := s.backend.Put(ref.Start, ext); err != nil {
-		return fmt.Errorf("pagestore: unfree of extent at page %d: %w", ref.Start, err)
-	}
-	delete(s.limbo, ref.Start)
-	return nil
-}
-
-// SetMeta hands an opaque metadata blob to the backend (the version store's
-// serialized delta index); durable backends persist it at the next Commit.
-func (s *Store) SetMeta(meta []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//txvet:ignore lockhold PutMeta buffers the delta-index blob in memory; durability is deferred to Commit
-	return s.backend.PutMeta(meta)
-}
-
 // Meta returns the backend's current metadata blob, nil if none.
-func (s *Store) Meta() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//txvet:ignore lockhold Meta is an in-memory read of the buffered blob
-	return s.backend.Meta()
-}
+func (s *Store) Meta() []byte { return s.backend.Meta() }
 
-// SetMetaDelta hands an incremental metadata record to the backend, on top
-// of the last SetMeta blob; durable backends persist it at the next Commit.
-func (s *Store) SetMetaDelta(delta []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//txvet:ignore lockhold PutMetaDelta buffers the delta record in memory; durability is deferred to Commit
-	return s.backend.PutMetaDelta(delta)
-}
-
-// MetaDeltas returns the metadata deltas logged since the last full
-// snapshot; after recovery, the committed ones.
-func (s *Store) MetaDeltas() [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//txvet:ignore lockhold MetaDeltas is an in-memory read of the buffered records
-	return s.backend.MetaDeltas()
-}
+// MetaDeltas returns the metadata deltas committed since the last full
+// snapshot; after recovery, the recovered ones.
+func (s *Store) MetaDeltas() [][]byte { return s.backend.MetaDeltas() }
 
 // Provenance reports where the extent's bytes live at rest (segment file
 // and offset, or checkpoint image) when the backend tracks origins.
 func (s *Store) Provenance(start int64) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	pb, ok := s.backend.(ProvenanceBackend)
 	if !ok {
 		return "", false
 	}
-	//txvet:ignore lockhold Provenance is an in-memory map lookup
 	return pb.Provenance(start)
 }
 
-// Commit makes everything written so far durable. With group commit
-// enabled (Config.GroupWindow > 0) the call joins the forming batch and
-// returns after the batch's shared fsync — nil on success, an error
-// matching ErrGroupCommit when the batch's fsync failed. Without it, the
-// backend is committed synchronously under the store mutex.
-func (s *Store) Commit() error {
-	if s.group != nil {
-		// The caller's extents were Put under s.mu before this call, and
-		// the backend orders appends against its fsync internally, so the
-		// batch flush needs no store lock.
-		return s.group.Commit()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//txvet:ignore lockhold,fsyncpoint synchronous fallback: with no batcher configured this IS the durability point, and fsync under s.mu is the WAL's documented commit-order discipline
-	return s.backend.Commit()
-}
-
-// GroupStats reports the group-commit batcher's amortization counters and
-// whether batching is enabled at all.
+// GroupStats reports the group committer's amortization counters and
+// whether a collection window (Config.GroupWindow) is configured.
 func (s *Store) GroupStats() (GroupStats, bool) {
-	if s.group == nil {
-		return GroupStats{}, false
-	}
-	return s.group.Stats(), true
+	return s.group.Stats(), s.cfg.GroupWindow > 0
 }
 
-// Close releases the backend. The batcher, when present, is drained first
-// so in-flight commits reach their durability point before the backend
-// goes away.
+// Close releases the backend. The group committer is drained first so
+// in-flight commits reach their durability point before the backend goes
+// away.
 func (s *Store) Close() error {
-	if s.group != nil {
-		s.group.Close()
-	}
+	s.group.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//txvet:ignore lockhold Close runs once at shutdown; holding s.mu fences late writers
@@ -524,10 +456,7 @@ func (s *Store) PagesUsed() int64 {
 
 // BytesStored returns the sum of payload sizes of live extents.
 func (s *Store) BytesStored() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var total int64
-	//txvet:ignore lockhold Range walks the in-memory extent table for stats; no device I/O involved
 	s.backend.Range(func(_ int64, ext Extent) bool {
 		total += int64(len(ext.Data))
 		return true

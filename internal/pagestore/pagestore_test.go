@@ -8,15 +8,27 @@ import (
 	"testing/quick"
 )
 
-// mustWrite is the test shorthand for infallible writes (the in-memory
-// backend only fails through the fault injector).
+// mustWrite is the test shorthand for a one-extent batch that must commit
+// (the in-memory backend only fails through the fault injector).
 func mustWrite(t testing.TB, s *Store, group int, data []byte) Ref {
 	t.Helper()
-	ref, err := s.Write(group, data)
-	if err != nil {
+	b := s.Begin()
+	ref := b.Write(group, data)
+	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	return ref
+}
+
+// mustFree commits and releases a batch freeing ref.
+func mustFree(t testing.TB, s *Store, ref Ref) {
+	t.Helper()
+	b := s.Begin()
+	b.Free(ref)
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -210,9 +222,19 @@ func TestFree(t *testing.T) {
 	if _, err := s.Read(ref); err != nil {
 		t.Fatal(err)
 	}
-	s.Free(ref)
+	b := s.Begin()
+	b.Free(ref)
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// Committed but not released: readers of the previous table still
+	// see the extent.
+	if _, err := s.Read(ref); err != nil {
+		t.Fatalf("read after commit, before Release: %v", err)
+	}
+	b.Release()
 	if _, err := s.Read(ref); err == nil {
-		t.Fatal("read after Free should fail")
+		t.Fatal("read after Release should fail")
 	}
 }
 

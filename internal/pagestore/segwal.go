@@ -3,7 +3,6 @@ package pagestore
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -117,23 +116,31 @@ var (
 // SegmentedWAL is the durable segment-rotating backend. Reads are served
 // from an in-memory mirror of the extent table (the log is the durability
 // story, not the read path — like a log-structured store with a resident
-// index).
+// index). A commit holds only the append lock across its write and fsync
+// and applies the batch to the mirror afterwards, so readers never wait
+// behind the device.
 type SegmentedWAL struct {
-	mu       sync.Mutex
+	// amu is the append lock: it serializes commits, segment rotation and
+	// segment deletion, and guards the fields below it.
+	amu      sync.Mutex
 	dir      string
 	segBytes int64
 	f        *os.File // active segment
 	seq      int64    // active segment sequence number
-	off      int64    // bytes written to the active segment (incl. uncommitted)
-	commOff  int64    // committed prefix of the active segment
-	minSeq   int64    // lowest segment file present on disk
-	extents  map[int64]Extent
-	origins  map[int64]ExtentOrigin
-	meta     []byte
-	deltas   [][]byte
-	next     int64
-	stats    WALStats
+	off      int64    // committed prefix of the active segment; the next commit starts here
+	dirty    bool     // a failed commit may have left bytes past off
 	closed   bool
+
+	// mu guards the mirror: the state the committed log describes.
+	mu      sync.Mutex
+	pos     LogPos // committed position: {seq, off} as of the last commit
+	minSeq  int64  // lowest segment file present on disk (written under amu too)
+	extents map[int64]Extent
+	origins map[int64]ExtentOrigin
+	meta    []byte
+	deltas  [][]byte
+	next    int64
+	stats   WALStats
 }
 
 // OpenSegmentedWAL opens (or creates) the segmented log in cfg.Dir and
@@ -224,18 +231,14 @@ func OpenSegmentedWAL(cfg SegWALConfig) (*SegmentedWAL, error) {
 			return nil, err
 		}
 	}
-	// Open the last segment for appending.
+	// Open the last segment for appending; commits write at w.off.
 	f, err := os.OpenFile(filepath.Join(cfg.Dir, SegmentFileName(maxSeq)), os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: open wal segment: %w", err)
 	}
-	if _, err := f.Seek(w.commOff, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pagestore: seek wal segment: %w", err)
-	}
 	w.f = f
 	w.seq = maxSeq
-	w.off = w.commOff
+	w.pos = LogPos{Seq: maxSeq, Off: w.off}
 	return w, nil
 }
 
@@ -278,8 +281,8 @@ func (w *SegmentedWAL) replaySegment(seq, skip int64, last bool) error {
 	w.stats.ReplayedCommits += st.commits
 	w.stats.ReplayedExtents += st.extentsApplied
 	tail := int64(len(data)) - skip - st.committed
+	w.off = skip + st.committed
 	if tail == 0 {
-		w.commOff = skip + st.committed
 		return nil
 	}
 	if !last {
@@ -287,8 +290,7 @@ func (w *SegmentedWAL) replaySegment(seq, skip int64, last bool) error {
 			ErrBadSegment, SegmentFileName(seq), tail)
 	}
 	w.stats.TruncatedOnOpen += tail
-	w.commOff = skip + st.committed
-	if err := os.Truncate(path, w.commOff); err != nil {
+	if err := os.Truncate(path, w.off); err != nil {
 		return fmt.Errorf("pagestore: truncate torn wal tail: %w", err)
 	}
 	return nil
@@ -331,22 +333,14 @@ func (w *SegmentedWAL) applyLog(seq, base int64, data []byte) replayState {
 			pending = append(pending, segOp{pendingOp: pendingOp{kind: recMetaDelta, meta: append([]byte(nil), fr.payload...)}})
 		case recCommit:
 			for _, op := range pending {
-				switch op.kind {
-				case recExtent:
-					w.extents[op.start] = op.ext
-					w.origins[op.start] = op.origin
-					if end := op.start + int64(op.ext.Pages); end > w.next {
-						w.next = end
-					}
-					st.extentsApplied++
-				case recFree:
+				if op.kind == recFree {
 					delete(w.extents, op.start)
 					delete(w.origins, op.start)
-				case recMeta:
-					w.meta = op.meta
-					w.deltas = nil
-				case recMetaDelta:
-					w.deltas = append(w.deltas, op.meta)
+					continue
+				}
+				w.applyLocked(op.pendingOp, op.origin)
+				if op.kind == recExtent {
+					st.extentsApplied++
 				}
 			}
 			pending = pending[:0]
@@ -359,7 +353,7 @@ func (w *SegmentedWAL) applyLog(seq, base int64, data []byte) replayState {
 }
 
 // createSegmentLocked creates the segment file for seq, makes its directory
-// entry durable, and switches appends to it.
+// entry durable, and switches appends to it. Callers hold w.amu.
 func (w *SegmentedWAL) createSegmentLocked(seq int64) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, SegmentFileName(seq)),
 		os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
@@ -379,7 +373,9 @@ func (w *SegmentedWAL) createSegmentLocked(seq int64) error {
 	w.f = f
 	w.seq = seq
 	w.off = 0
-	w.commOff = 0
+	w.mu.Lock()
+	w.pos = LogPos{Seq: seq}
+	w.mu.Unlock()
 	return nil
 }
 
@@ -400,37 +396,124 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// appendLocked writes one framed record to the active segment, returning
-// the offset its frame starts at.
-func (w *SegmentedWAL) appendLocked(kind byte, start int64, pages uint32, payload []byte) (int64, error) {
+// Commit logs the batch and makes it durable: its records and a commit
+// marker are encoded into one buffer, written with one write and made
+// durable with one fsync, all under the append lock; only then is the
+// batch applied to the mirror. A write or fsync failure truncates the
+// segment back to the last commit, so a failed batch leaves no byte
+// behind; until that truncation succeeds, commits are refused. When the
+// segment has outgrown the rotation threshold a fresh one is started, so
+// the next batch begins at its offset 0; a failed rotation does not fail
+// the (durable) commit and is retried before the next batch.
+func (w *SegmentedWAL) Commit(b *Batch) error {
+	w.amu.Lock()
+	defer w.amu.Unlock()
 	if w.closed {
-		return 0, fmt.Errorf("pagestore: segmented wal %s is closed", w.dir)
+		return fmt.Errorf("pagestore: segmented wal %s is closed", w.dir)
 	}
-	recStart := w.off
-	rec := encodeFrame(nil, kind, start, pages, payload)
-	if _, err := w.f.Write(rec); err != nil {
-		return 0, fmt.Errorf("pagestore: append wal record: %w", err)
+	if w.dirty {
+		if err := w.truncateLocked(); err != nil {
+			return fmt.Errorf("pagestore: wal refuses appends until its failed tail is truncated: %w", err)
+		}
 	}
-	w.off += int64(len(rec))
-	w.stats.Records++
-	w.stats.BytesAppended += int64(len(rec))
-	return recStart, nil
+	w.rotateLocked()
+	size := frameHeaderLen + frameCRCLen
+	for _, op := range b.ops {
+		size += frameHeaderLen + len(op.payload()) + frameCRCLen
+	}
+	buf := make([]byte, 0, size)
+	for _, op := range b.ops {
+		buf = encodeFrame(buf, op.kind, op.start, uint32(op.ext.Pages), op.payload())
+	}
+	buf = encodeFrame(buf, recCommit, 0, 0, nil)
+	if _, err := w.f.WriteAt(buf, w.off); err != nil {
+		w.abortLocked()
+		return fmt.Errorf("pagestore: append wal batch: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		w.abortLocked()
+		return fmt.Errorf("pagestore: sync wal segment: %w", err)
+	}
+
+	w.mu.Lock()
+	at := w.off
+	for _, op := range b.ops {
+		w.applyLocked(op, ExtentOrigin{Seq: w.seq, Off: at})
+		if op.kind == recExtent {
+			w.stats.PayloadBytes += int64(len(op.ext.Data))
+		}
+		at += int64(frameHeaderLen + len(op.payload()) + frameCRCLen)
+	}
+	w.stats.Records += int64(len(b.ops)) + 1
+	w.stats.BytesAppended += int64(len(buf))
+	w.stats.Commits++
+	w.stats.Syncs++
+	w.off += int64(len(buf))
+	w.pos = LogPos{Seq: w.seq, Off: w.off}
+	w.mu.Unlock()
+	w.rotateLocked()
+	return nil
 }
 
-func (w *SegmentedWAL) Put(start int64, ext Extent) error {
+// applyLocked makes one committed record visible in the mirror, an extent
+// with the origin of its frame. Frees are the caller's: replay drops the
+// extent at once, a live commit only at Release. Callers hold w.mu, or
+// own w alone, as replay at open does.
+func (w *SegmentedWAL) applyLocked(op pendingOp, origin ExtentOrigin) {
+	switch op.kind {
+	case recExtent:
+		w.extents[op.start] = op.ext
+		w.origins[op.start] = origin
+		if end := op.start + int64(op.ext.Pages); end > w.next {
+			w.next = end
+		}
+	case recMeta:
+		w.meta = op.meta
+		w.deltas = nil
+	case recMetaDelta:
+		w.deltas = append(w.deltas, op.meta)
+	}
+}
+
+// abortLocked undoes a commit whose write or fsync failed: the segment is
+// cut back to the last commit, or marked dirty so the next Commit retries
+// the cut before appending.
+func (w *SegmentedWAL) abortLocked() {
+	w.dirty = true
+	_ = w.truncateLocked() // on failure the next Commit retries, and refuses
+}
+
+// truncateLocked cuts the active segment back to the last commit and makes
+// the cut durable, so a crash cannot bring a failed batch back.
+func (w *SegmentedWAL) truncateLocked() error {
+	if err := w.f.Truncate(w.off); err != nil {
+		return fmt.Errorf("pagestore: truncate failed wal batch: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("pagestore: sync truncated wal segment: %w", err)
+	}
+	w.dirty = false
+	return nil
+}
+
+// rotateLocked starts the next segment once the active one has outgrown
+// the rotation threshold. A failure keeps appends in the active segment;
+// the next commit tries again.
+func (w *SegmentedWAL) rotateLocked() {
+	if w.off >= w.segBytes {
+		_ = w.createSegmentLocked(w.seq + 1)
+	}
+}
+
+// Release drops the extents a committed batch freed from the mirror; their
+// free records are already in the log.
+func (w *SegmentedWAL) Release(b *Batch) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	recStart, err := w.appendLocked(recExtent, start, uint32(ext.Pages), ext.Data)
-	if err != nil {
-		return err
+	for _, start := range b.freed {
+		delete(w.extents, start)
+		delete(w.origins, start)
 	}
-	w.stats.PayloadBytes += int64(len(ext.Data))
-	w.extents[start] = ext
-	w.origins[start] = ExtentOrigin{Seq: w.seq, Off: recStart}
-	if end := start + int64(ext.Pages); end > w.next {
-		w.next = end
-	}
-	return nil
 }
 
 func (w *SegmentedWAL) Get(start int64) (Extent, error) {
@@ -443,79 +526,18 @@ func (w *SegmentedWAL) Get(start int64) (Extent, error) {
 	return ext, nil
 }
 
-func (w *SegmentedWAL) Delete(start int64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.extents[start]; !ok {
-		return nil
-	}
-	if _, err := w.appendLocked(recFree, start, 0, nil); err != nil {
-		return err
-	}
-	delete(w.extents, start)
-	delete(w.origins, start)
-	return nil
-}
-
-func (w *SegmentedWAL) PutMeta(meta []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.appendLocked(recMeta, 0, 0, meta); err != nil {
-		return err
-	}
-	w.meta = append([]byte(nil), meta...)
-	w.deltas = nil
-	return nil
-}
-
 func (w *SegmentedWAL) Meta() []byte {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.meta
 }
 
-// PutMetaDelta logs an incremental metadata record.
-func (w *SegmentedWAL) PutMetaDelta(delta []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.appendLocked(recMetaDelta, 0, 0, delta); err != nil {
-		return err
-	}
-	w.deltas = append(w.deltas, append([]byte(nil), delta...))
-	return nil
-}
-
 // MetaDeltas returns the committed metadata deltas recovered or appended
-// since the last full PutMeta snapshot, in order.
+// since the last full metadata snapshot, in order.
 func (w *SegmentedWAL) MetaDeltas() [][]byte {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.deltas
-}
-
-// Commit appends a commit marker and fsyncs the active segment; when the
-// segment has outgrown the rotation threshold, a fresh one is started so
-// the next transaction begins at its offset 0.
-func (w *SegmentedWAL) Commit() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.appendLocked(recCommit, 0, 0, nil); err != nil {
-		return err
-	}
-	w.stats.Commits++
-	// Commit is the durability barrier: the fsync must complete before the
-	// mutation is acknowledged, so it stays under the lock.
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("pagestore: sync wal segment: %w", err)
-	}
-	w.stats.Syncs++
-	w.commOff = w.off
-	if w.off >= w.segBytes {
-		if err := w.createSegmentLocked(w.seq + 1); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (w *SegmentedWAL) Range(fn func(start int64, ext Extent) bool) {
@@ -553,14 +575,14 @@ func (w *SegmentedWAL) Provenance(start int64) (string, bool) {
 func (w *SegmentedWAL) Pos() LogPos {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return LogPos{Seq: w.seq, Off: w.commOff}
+	return w.pos
 }
 
 // Segments returns how many segment files the log currently spans.
 func (w *SegmentedWAL) Segments() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.seq - w.minSeq + 1
+	return w.pos.Seq - w.minSeq + 1
 }
 
 // WALState is a point-in-time image of the backend for checkpointing: the
@@ -587,7 +609,7 @@ func (w *SegmentedWAL) StateSnapshot() WALState {
 		Extents: extents,
 		Meta:    w.meta,
 		Next:    w.next,
-		Pos:     LogPos{Seq: w.seq, Off: w.commOff},
+		Pos:     w.pos,
 	}
 }
 
@@ -595,15 +617,14 @@ func (w *SegmentedWAL) StateSnapshot() WALState {
 // minSeq (never the active segment) and returns how many were removed. The
 // compactor calls it once a published checkpoint covers them.
 func (w *SegmentedWAL) DropSegmentsBelow(minSeq int64) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	// Deleting dead segment files is serialized with rotation under the
+	// append lock; reads never touch these files.
+	w.amu.Lock()
+	defer w.amu.Unlock()
 	if minSeq > w.seq {
 		minSeq = w.seq
 	}
 	removed := 0
-	// Deleting dead segment files must be serialized
-	// with rotation (w.seq/w.minSeq); appends and reads never touch these
-	// files, so nothing blocks behind the unlink.
 	for s := w.minSeq; s < minSeq; s++ {
 		err := os.Remove(filepath.Join(w.dir, SegmentFileName(s)))
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -612,7 +633,9 @@ func (w *SegmentedWAL) DropSegmentsBelow(minSeq int64) (int, error) {
 		if err == nil {
 			removed++
 		}
+		w.mu.Lock()
 		w.minSeq = s + 1
+		w.mu.Unlock()
 	}
 	if removed > 0 {
 		if err := syncDir(w.dir); err != nil {
@@ -629,11 +652,10 @@ func (w *SegmentedWAL) Stats() WALStats {
 	return w.stats
 }
 
-// Size returns the byte size of the active segment (durable prefix plus
-// any records appended since the last commit).
+// Size returns the byte size of the active segment file.
 func (w *SegmentedWAL) Size() (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.amu.Lock()
+	defer w.amu.Unlock()
 	fi, err := w.f.Stat()
 	if err != nil {
 		return 0, err
@@ -642,8 +664,8 @@ func (w *SegmentedWAL) Size() (int64, error) {
 }
 
 func (w *SegmentedWAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.amu.Lock()
+	defer w.amu.Unlock()
 	if w.closed {
 		return nil
 	}

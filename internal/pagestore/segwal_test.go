@@ -20,17 +20,56 @@ func openSeg(t *testing.T, dir string, segBytes int64) *SegmentedWAL {
 	return w
 }
 
-func segPut(t *testing.T, w *SegmentedWAL, start int64, data []byte, pages int32) {
-	t.Helper()
-	if err := w.Put(start, Extent{Data: data, Pages: pages, Sum: Checksum(data)}); err != nil {
-		t.Fatalf("Put(%d): %v", start, err)
-	}
+// The backend-level tests build batches record by record, at the start
+// pages they choose, instead of through a Store's allocator.
+
+func putOp(start int64, data []byte, pages int32) pendingOp {
+	return pendingOp{kind: recExtent, start: start, ext: Extent{Data: data, Pages: pages, Sum: Checksum(data)}}
 }
 
-func segCommit(t *testing.T, w *SegmentedWAL) {
+func freeOp(start int64) pendingOp  { return pendingOp{kind: recFree, start: start} }
+func metaOp(meta string) pendingOp  { return pendingOp{kind: recMeta, meta: []byte(meta)} }
+func deltaOp(meta string) pendingOp { return pendingOp{kind: recMetaDelta, meta: []byte(meta)} }
+
+// segCommit commits one batch of the given records and releases its frees.
+func segCommit(t *testing.T, w *SegmentedWAL, ops ...pendingOp) {
 	t.Helper()
-	if err := w.Commit(); err != nil {
+	b := &Batch{ops: ops}
+	for _, op := range ops {
+		if op.kind == recFree {
+			b.freed = append(b.freed, op.start)
+		}
+	}
+	if err := w.Commit(b); err != nil {
 		t.Fatalf("Commit: %v", err)
+	}
+	w.Release(b)
+}
+
+// segPut commits a one-extent batch.
+func segPut(t *testing.T, w *SegmentedWAL, start int64, data []byte, pages int32) {
+	t.Helper()
+	segCommit(t, w, putOp(start, data, pages))
+}
+
+// appendUncommitted appends records with no commit marker to a closed log's
+// active segment: the tail a crash in the middle of a commit's write
+// leaves behind.
+func appendUncommitted(t *testing.T, dir string, seq int64, ops ...pendingOp) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, SegmentFileName(seq)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for _, op := range ops {
+		buf = encodeFrame(buf, op.kind, op.start, uint32(op.ext.Pages), op.payload())
+	}
+	if _, err := f.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -40,13 +79,8 @@ func TestSegWALPersistReopenAcrossRotation(t *testing.T) {
 	w := openSeg(t, dir, 64)
 	for i := int64(0); i < 5; i++ {
 		segPut(t, w, i, []byte(fmt.Sprintf("extent-%d-payload", i)), 1)
-		segCommit(t, w)
 	}
-	if err := w.Delete(2); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	segPut(t, w, 0, []byte("extent-0-rewritten"), 1)
-	segCommit(t, w)
+	segCommit(t, w, freeOp(2), putOp(0, []byte("extent-0-rewritten"), 1))
 	if segs := w.Segments(); segs < 3 {
 		t.Fatalf("Segments() = %d, want rotation to have happened", segs)
 	}
@@ -93,21 +127,13 @@ func TestSegWALPersistReopenAcrossRotation(t *testing.T) {
 func TestSegWALMetaDeltas(t *testing.T) {
 	dir := t.TempDir()
 	w := openSeg(t, dir, 1<<20)
-	if err := w.PutMeta([]byte("full-1")); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
-	segCommit(t, w)
+	segCommit(t, w, metaOp("full-1"))
 	for i := 1; i <= 3; i++ {
-		if err := w.PutMetaDelta([]byte(fmt.Sprintf("delta-%d", i))); err != nil {
-			t.Fatalf("PutMetaDelta: %v", err)
-		}
-		segCommit(t, w)
-	}
-	// Uncommitted delta must vanish on reopen.
-	if err := w.PutMetaDelta([]byte("volatile")); err != nil {
-		t.Fatalf("PutMetaDelta: %v", err)
+		segCommit(t, w, deltaOp(fmt.Sprintf("delta-%d", i)))
 	}
 	w.Close()
+	// Uncommitted delta must vanish on reopen.
+	appendUncommitted(t, dir, 1, deltaOp("volatile"))
 
 	r := openSeg(t, dir, 1<<20)
 	if got := string(r.Meta()); got != "full-1" {
@@ -123,10 +149,7 @@ func TestSegWALMetaDeltas(t *testing.T) {
 		}
 	}
 	// A fresh full snapshot clears the delta tail.
-	if err := r.PutMeta([]byte("full-2")); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
-	segCommit(t, r)
+	segCommit(t, r, metaOp("full-2"))
 	r.Close()
 	r2 := openSeg(t, dir, 1<<20)
 	if got := string(r2.Meta()); got != "full-2" {
@@ -168,12 +191,9 @@ func TestSegWALBaseStateSuffixReplay(t *testing.T) {
 	dir := t.TempDir()
 	w := openSeg(t, dir, 64)
 	segPut(t, w, 0, []byte("pre-checkpoint"), 1)
-	segCommit(t, w)
 	segPut(t, w, 1, []byte("also pre-checkpoint"), 1)
-	segCommit(t, w)
 	base := w.StateSnapshot()
 	segPut(t, w, 2, []byte("post-checkpoint"), 1)
-	segCommit(t, w)
 	w.Close()
 
 	r, err := OpenSegmentedWAL(SegWALConfig{Dir: dir, SegmentBytes: 64, Base: &BaseState{
@@ -207,7 +227,6 @@ func TestSegWALMissingSegmentFails(t *testing.T) {
 	w := openSeg(t, dir, 64)
 	for i := int64(0); i < 4; i++ {
 		segPut(t, w, i, bytes.Repeat([]byte{byte('a' + i)}, 40), 1)
-		segCommit(t, w)
 	}
 	if w.Segments() < 3 {
 		t.Fatalf("want at least 3 segments, have %d", w.Segments())
@@ -227,7 +246,6 @@ func TestSegWALBaseBeyondDiskFails(t *testing.T) {
 	dir := t.TempDir()
 	w := openSeg(t, dir, 1<<20)
 	segPut(t, w, 0, []byte("x"), 1)
-	segCommit(t, w)
 	w.Close()
 	_, err := OpenSegmentedWAL(SegWALConfig{Dir: dir, SegmentBytes: 1 << 20, Base: &BaseState{
 		Extents: map[int64]Extent{}, Pos: LogPos{Seq: 9, Off: 0},
@@ -249,7 +267,6 @@ func TestSegWALDropSegmentsBelow(t *testing.T) {
 	w := openSeg(t, dir, 64)
 	for i := int64(0); i < 4; i++ {
 		segPut(t, w, i, bytes.Repeat([]byte{byte('a' + i)}, 40), 1)
-		segCommit(t, w)
 	}
 	active := w.Pos().Seq
 	if active < 3 {
@@ -308,23 +325,11 @@ func TestSegWALTornTailEveryOffset(t *testing.T) {
 	snap := func(extents map[int64]string, meta string, deltas int) {
 		goldens = append(goldens, golden{pos: w.Pos(), extents: extents, meta: meta, deltas: deltas})
 	}
-	segPut(t, w, 0, bytes.Repeat([]byte("a"), 200), 1)
-	segCommit(t, w) // fills segment 1, rotates
+	segPut(t, w, 0, bytes.Repeat([]byte("a"), 200), 1) // fills segment 1, rotates
 	snap(map[int64]string{0: strings.Repeat("a", 200)}, "", 0)
-	segPut(t, w, 1, []byte("bb"), 1)
-	if err := w.PutMeta([]byte("m1")); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
-	segCommit(t, w)
+	segCommit(t, w, putOp(1, []byte("bb"), 1), metaOp("m1"))
 	snap(map[int64]string{0: strings.Repeat("a", 200), 1: "bb"}, "m1", 0)
-	if err := w.Delete(1); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	segPut(t, w, 2, []byte("ccc"), 1)
-	if err := w.PutMetaDelta([]byte("d1")); err != nil {
-		t.Fatalf("PutMetaDelta: %v", err)
-	}
-	segCommit(t, w)
+	segCommit(t, w, freeOp(1), putOp(2, []byte("ccc"), 1), deltaOp("d1"))
 	snap(map[int64]string{0: strings.Repeat("a", 200), 2: "ccc"}, "m1", 1)
 	active := w.Pos()
 	w.Close()
@@ -395,17 +400,13 @@ func TestSegWALUncommittedTailDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	w := openSeg(t, dir, 1<<20)
 	segPut(t, w, 0, []byte("durable"), 1)
-	segCommit(t, w)
 	committed, err := w.Size()
 	if err != nil {
 		t.Fatalf("Size: %v", err)
 	}
-	// Appended but never committed: must vanish on reopen.
-	segPut(t, w, 1, []byte("volatile"), 1)
-	if err := w.PutMeta([]byte("volatile meta")); err != nil {
-		t.Fatalf("PutMeta: %v", err)
-	}
 	w.Close()
+	// Appended but never committed: must vanish on reopen.
+	appendUncommitted(t, dir, 1, putOp(1, []byte("volatile"), 1), metaOp("volatile meta"))
 
 	r := openSeg(t, dir, 1<<20)
 	if _, err := r.Get(1); !errors.Is(err, ErrUnknownExtent) {
@@ -433,10 +434,8 @@ func TestSegWALCorruptTailBytes(t *testing.T) {
 	dir := t.TempDir()
 	w := openSeg(t, dir, 1<<20)
 	segPut(t, w, 0, []byte("keep me"), 1)
-	segCommit(t, w)
 	keep, _ := w.Size()
 	segPut(t, w, 1, []byte("bit-rotted"), 1)
-	segCommit(t, w)
 	w.Close()
 
 	// Flip a byte inside the second commit's extent record: the frame CRC
@@ -468,7 +467,6 @@ func TestSegWALStatsWriteAmplification(t *testing.T) {
 	w := openSeg(t, t.TempDir(), 1<<20)
 	payload := bytes.Repeat([]byte("x"), 1000)
 	segPut(t, w, 0, payload, 1)
-	segCommit(t, w)
 	st := w.Stats()
 	if st.Records != 2 || st.Commits != 1 || st.Syncs != 1 {
 		t.Fatalf("stats = %+v, want 2 records, 1 commit, 1 sync", st)
@@ -497,18 +495,16 @@ func TestSegWALRejectsUseAfterClose(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := w.Put(0, Extent{Data: []byte("x"), Pages: 1}); err == nil {
-		t.Fatalf("Put after Close succeeded")
+	if err := w.Commit(&Batch{ops: []pendingOp{putOp(0, []byte("x"), 1)}}); err == nil {
+		t.Fatalf("Commit after Close succeeded")
 	}
 }
 
 func TestSegWALMidLogCorruptionFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	w := openSeg(t, dir, 64)
-	segPut(t, w, 0, bytes.Repeat([]byte("x"), 60), 1)
-	segCommit(t, w) // rotates
+	segPut(t, w, 0, bytes.Repeat([]byte("x"), 60), 1) // rotates
 	segPut(t, w, 1, []byte("y"), 1)
-	segCommit(t, w)
 	w.Close()
 
 	// Flip a byte inside the closed segment 1: that is at-rest corruption
@@ -542,4 +538,96 @@ func TestParseSegmentName(t *testing.T) {
 			t.Errorf("parseSegmentName(%q) accepted as %d", bad, seq)
 		}
 	}
+}
+
+// TestSegWALRotationFailureKeepsCommit: a commit whose fsync succeeded is
+// durable even when the segment rotation after it fails. The commit
+// returns nil, later commits stay in the active segment until rotation
+// succeeds, and everything survives a reopen.
+func TestSegWALRotationFailureKeepsCommit(t *testing.T) {
+	dir := t.TempDir()
+	w := openSeg(t, dir, 64)
+	// Segment 2 already exists, so creating it with O_EXCL fails.
+	if err := os.WriteFile(filepath.Join(dir, SegmentFileName(2)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	segPut(t, w, 0, bytes.Repeat([]byte("a"), 60), 1) // crosses the threshold
+	segPut(t, w, 1, []byte("b"), 1)
+	if pos := w.Pos(); pos.Seq != 1 {
+		t.Fatalf("Pos = %+v, want appends kept in segment 1 while rotation fails", pos)
+	}
+	w.Close()
+
+	r := openSeg(t, dir, 64)
+	for i, want := range []string{strings.Repeat("a", 60), "b"} {
+		ext, err := r.Get(int64(i))
+		if err != nil || string(ext.Data) != want {
+			t.Fatalf("Get(%d) after reopen = %q, %v", i, ext.Data, err)
+		}
+	}
+}
+
+// TestSegWALFailedCommitLeavesNoBytes: when a commit's write fails, the
+// batch is not applied, and the log refuses appends until it has cut the
+// active segment back to the last commit; then commits resume and a
+// reopen sees exactly the committed batches.
+func TestSegWALFailedCommitLeavesNoBytes(t *testing.T) {
+	dir := t.TempDir()
+	w := openSeg(t, dir, 1<<20)
+	segPut(t, w, 0, []byte("committed"), 1)
+	keep, _ := w.Size()
+	rw := w.f
+	path := filepath.Join(dir, SegmentFileName(1))
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.f = ro // writes and truncations now fail
+	if err := w.Commit(&Batch{ops: []pendingOp{putOp(1, []byte("failed"), 1)}}); err == nil {
+		t.Fatal("commit over a read-only segment succeeded")
+	}
+	if _, err := w.Get(1); !errors.Is(err, ErrUnknownExtent) {
+		t.Fatalf("failed batch applied to the mirror: %v", err)
+	}
+	// A torn remnant of the failed write past the last commit.
+	if err := os.WriteFile(path, append(mustRead(t, path), "torn remnant"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(&Batch{ops: []pendingOp{putOp(2, []byte("refused"), 1)}}); err == nil {
+		t.Fatal("commit accepted before the failed tail was truncated")
+	}
+	w.f = rw
+	ro.Close()
+	segPut(t, w, 3, []byte("after"), 1)
+	if st := w.Stats(); st.Commits != 2 {
+		t.Fatalf("Commits = %d, want only the 2 successful ones counted", st.Commits)
+	}
+	w.Close()
+
+	r := openSeg(t, dir, 1<<20)
+	if st := r.Stats(); st.TruncatedOnOpen != 0 || st.ReplayedCommits != 2 {
+		t.Fatalf("reopen stats = %+v, want 2 clean commits", st)
+	}
+	for start, want := range map[int64]string{0: "committed", 3: "after"} {
+		if ext, err := r.Get(start); err != nil || string(ext.Data) != want {
+			t.Fatalf("Get(%d) = %q, %v", start, ext.Data, err)
+		}
+	}
+	for _, start := range []int64{1, 2} {
+		if _, err := r.Get(start); !errors.Is(err, ErrUnknownExtent) {
+			t.Fatalf("failed or refused batch at page %d survived: %v", start, err)
+		}
+	}
+	if sz, _ := r.Size(); sz <= keep {
+		t.Fatalf("size %d, want the second commit past %d", sz, keep)
+	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

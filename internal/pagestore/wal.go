@@ -9,8 +9,9 @@ import (
 // The write-ahead-log record format, as the segmented WAL (segwal.go)
 // appends and replays it: every mutation (extent write, extent free,
 // metadata snapshot, per-document metadata delta) is one framed,
-// CRC32-checksummed record, and a commit is a commit-marker record followed
-// by an fsync. Replay applies records commit-by-commit; a partial record, a
+// CRC32-checksummed record, and a commit is the records of one group of
+// batches followed by a commit-marker record, written together and then
+// fsynced. Replay applies records commit-by-commit; a partial record, a
 // record with a bad checksum, or complete records not followed by a commit
 // marker are a torn tail and are not applied, so a crash at any byte offset
 // recovers exactly the committed prefix.
@@ -79,12 +80,21 @@ type replayState struct {
 	extentsApplied int64 // extent records applied
 }
 
-// pendingOp is one logged mutation awaiting its commit marker.
+// pendingOp is one mutation awaiting its commit marker: a record of a
+// writer's Batch, or a decoded record during replay.
 type pendingOp struct {
 	kind  byte
 	start int64
 	ext   Extent
 	meta  []byte
+}
+
+// payload returns the bytes the op's frame carries.
+func (op pendingOp) payload() []byte {
+	if op.kind == recExtent {
+		return op.ext.Data
+	}
+	return op.meta
 }
 
 // frame is one decoded WAL record.

@@ -11,15 +11,15 @@ import (
 )
 
 // Durable operation: when the page store sits on a durable backend (the
-// segmented WAL), every Put/Update/Delete logs the mutated document's table
-// entry — its version entries with their extent references — as one metadata
-// delta record next to the extents it wrote, and commits. A full snapshot of
-// the whole document table is logged only by vacuum and stored in checkpoint
-// images; deltas apply on top of the last one. The WAL makes extents and
-// metadata atomic per commit, so a crash either keeps a mutation entirely
-// (extents + index) or discards it entirely; reopening with Open rebuilds the
-// in-memory store from the last committed snapshot plus the committed deltas
-// after it.
+// segmented WAL), every Put/Update/Delete stages the mutated document's
+// table entry — its version entries with their extent references — as one
+// metadata delta record in the batch that holds the extents it wrote, and
+// commits the batch. A full snapshot of the whole document table is logged
+// only by vacuum and stored in checkpoint images; deltas apply on top of the
+// last one. A batch reaches the log whole or not at all, so a crash either
+// keeps a mutation entirely (extents + index) or discards it entirely;
+// reopening with Open rebuilds the in-memory store from the last committed
+// snapshot plus the committed deltas after it.
 //
 // Both records are JSON: small next to the XML payloads they reference,
 // human-inspectable when debugging a damaged log, and free of schema
@@ -56,8 +56,9 @@ type metaVersion struct {
 // metaDelta is one incremental metadata record: a full upsert of a single
 // document's table entry. Every commit logs one of these instead of the whole
 // table; replay applies them in order on top of the last full snapshot. An
-// entry without versions withdraws the document: it cancels the record of
-// a create whose commit failed (Store.fenceAbandoned).
+// entry without versions withdraws the document. Nothing writes one any
+// more, but replay still honours it: logs written before batched commits
+// used it to cancel the record of a create whose commit had failed.
 type metaDelta struct {
 	Format  int     `json:"format"`
 	NextDoc int64   `json:"nextDoc"`
@@ -75,8 +76,9 @@ func (m metaRef) ref() pagestore.Ref {
 	return pagestore.Ref{Start: m.Start, Pages: m.Pages, Len: m.Len}
 }
 
-// metaDocOf flattens one document entry into its wire form.
-func metaDocOf(d *docEntry) metaDoc {
+// metaDocOf flattens one document entry, with the given version table,
+// into its wire form.
+func metaDocOf(d *docEntry, versions []VersionInfo) metaDoc {
 	md := metaDoc{
 		ID:      int64(d.id),
 		Name:    d.name,
@@ -85,7 +87,7 @@ func metaDocOf(d *docEntry) metaDoc {
 		Deleted: int64(d.deleted),
 		RootXID: int64(d.rootXID),
 	}
-	for _, v := range d.versions {
+	for _, v := range versions {
 		md.Versions = append(md.Versions, metaVersion{
 			Ver:    int64(v.Ver),
 			Stamp:  int64(v.Stamp),
@@ -98,8 +100,9 @@ func metaDocOf(d *docEntry) metaDoc {
 	return md
 }
 
-// marshalMetaLocked serializes the document table. Callers hold s.mu.
-func (s *Store) marshalMetaLocked() ([]byte, error) {
+// marshalMetaLocked serializes the document table, with the version tables
+// in staged replacing the published ones. Callers hold s.mu.
+func (s *Store) marshalMetaLocked(staged map[model.DocID][]VersionInfo) ([]byte, error) {
 	mf := metaFile{Format: metaFormat, NextDoc: int64(s.nextDoc)}
 	ids := make([]model.DocID, 0, len(s.docs))
 	for id := range s.docs {
@@ -107,7 +110,11 @@ func (s *Store) marshalMetaLocked() ([]byte, error) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		mf.Docs = append(mf.Docs, metaDocOf(s.docs[id]))
+		vs, ok := staged[id]
+		if !ok {
+			vs = s.docs[id].versions
+		}
+		mf.Docs = append(mf.Docs, metaDocOf(s.docs[id], vs))
 	}
 	return json.Marshal(mf)
 }
@@ -120,7 +127,7 @@ func marshalDocDelta(d *docEntry, nextDoc int64) ([]byte, error) {
 	return json.Marshal(metaDelta{
 		Format:  metaFormat,
 		NextDoc: nextDoc,
-		Doc:     metaDocOf(d),
+		Doc:     metaDocOf(d, d.versions),
 	})
 }
 
@@ -129,7 +136,7 @@ func marshalDocDelta(d *docEntry, nextDoc int64) ([]byte, error) {
 func (s *Store) MarshalMeta() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.marshalMetaLocked()
+	return s.marshalMetaLocked(nil)
 }
 
 // Open returns a store over cfg; if the backend carries a committed

@@ -314,84 +314,36 @@ func (s *Store) jitter(max time.Duration) time.Duration {
 	return time.Duration(s.jrnd.Int63n(int64(max)))
 }
 
-// persistLocked snapshots the whole delta index into the backend's metadata
-// and commits, making the mutation durable. It is a no-op on volatile
-// backends. Callers hold s.mu.
-func (s *Store) persistLocked() error {
-	if !s.pages.Durable() {
-		return nil
-	}
-	meta, err := s.marshalMetaLocked()
-	if err != nil {
-		return fmt.Errorf("store: serialize meta: %w", err)
-	}
-	if err := s.pages.SetMeta(meta); err != nil {
-		return fmt.Errorf("store: persist meta: %w", err)
-	}
-	if err := s.pages.Commit(); err != nil {
-		return fmt.Errorf("store: commit: %w", err)
-	}
-	s.ckptCommits++
-	return nil
-}
-
-// persistStaged makes a staged single-document mutation durable *before*
-// it is published: the staged entry's metadata goes to the backend, then
-// Commit blocks until the durability point — under group commit, until the
-// staged records shared a batch fsync with every other in-flight commit.
-// It returns whether a durable commit actually happened (so the caller
+// commitStaged makes a staged single-document mutation durable *before*
+// it is published: on a durable backend the staged entry goes into the
+// batch as its metadata record, then Commit blocks until the durability
+// point — the batch shares one backend commit with every other batch in
+// its group. It returns whether a durable commit happened (so the caller
 // counts it toward the checkpoint trigger after publishing). The staged
-// entry is private to the calling writer; no lock is held across the
-// fsync, which is the whole point of the concurrent write path.
+// entry and the batch are private to the calling writer; no lock is held
+// across the fsync, which is the whole point of the concurrent write path.
+// A failed commit left nothing in the backend: the caller just drops the
+// batch.
 //
 // The metadata record is a single-document upsert — O(doc) per commit, and
 // commutative across concurrently staged documents, which is what lets
-// writers interleave inside one WAL batch.
-func (s *Store) persistStaged(staged *docEntry) (bool, error) {
-	if !s.pages.Durable() {
-		return false, nil
+// writers share a group.
+func (s *Store) commitStaged(b *pagestore.Batch, staged *docEntry) (bool, error) {
+	durable := s.pages.Durable()
+	if durable {
+		s.mu.RLock()
+		nextDoc := int64(s.nextDoc)
+		s.mu.RUnlock()
+		delta, err := marshalDocDelta(staged, nextDoc)
+		if err != nil {
+			return false, fmt.Errorf("store: serialize meta delta: %w", err)
+		}
+		b.SetMetaDelta(delta)
 	}
-	s.mu.RLock()
-	nextDoc := int64(s.nextDoc)
-	s.mu.RUnlock()
-	delta, err := marshalDocDelta(staged, nextDoc)
-	if err != nil {
-		return false, fmt.Errorf("store: serialize meta delta: %w", err)
-	}
-	if err := s.pages.SetMetaDelta(delta); err != nil {
-		return false, fmt.Errorf("store: persist meta delta: %w", err)
-	}
-	if err := s.pages.Commit(); err != nil {
+	if err := b.Commit(); err != nil {
 		return false, fmt.Errorf("store: commit: %w", err)
 	}
-	return true, nil
-}
-
-// fenceAbandoned follows a failed persistStaged. The abandoned stage's
-// metadata record may already be in the log, and the next successful
-// commit marker — any writer's — would make it durable. The fence logs
-// the record that cancels it: the document's published entry again, or,
-// for a document that was never published (published == nil), a
-// withdrawal. Callers log it before freeing the stage's extents.
-func (s *Store) fenceAbandoned(id model.DocID, published *docEntry) error {
-	if !s.pages.Durable() {
-		return nil
-	}
-	s.mu.RLock()
-	nextDoc := int64(s.nextDoc)
-	entry := &docEntry{id: id}
-	if published != nil {
-		entry = published
-	}
-	rec, err := marshalDocDelta(entry, nextDoc)
-	s.mu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("store: serialize meta fence: %w", err)
-	}
-	if err := s.pages.SetMetaDelta(rec); err != nil {
-		return fmt.Errorf("store: persist meta fence: %w", err)
-	}
-	return nil
+	return durable, nil
 }
 
 // CommitsSinceCheckpoint reports how many durable commits happened since
@@ -415,11 +367,11 @@ func (s *Store) NoteCheckpoint() {
 // DocID (XIDs are never shared across document incarnations).
 //
 // The write is staged: the DocID and name are claimed under a brief global
-// lock, the snapshot extent and metadata are written and committed with no
-// lock held (joining the group-commit batch when one is configured), and
-// the document becomes visible — atomically, with a fresh epoch — only
-// after the durability point. A failed commit leaves the store exactly as
-// before, minus a DocID gap.
+// lock, the snapshot extent and metadata are staged in a batch and
+// committed with no lock held (sharing a group commit with concurrent
+// writers), and the document becomes visible — atomically, with a fresh
+// epoch — only after the durability point. A failed commit leaves the
+// store exactly as before, minus a DocID gap.
 func (s *Store) Put(name string, tree *xmltree.Node, t model.Time) (model.DocID, error) {
 	if err := tree.Validate(); err != nil {
 		return 0, fmt.Errorf("store: put %q: %w", name, err)
@@ -456,17 +408,12 @@ func (s *Store) Put(name string, tree *xmltree.Node, t model.Time) (model.DocID,
 	d.nextXID = nx
 	d.rootXID = tree.XID
 	d.cur = tree.Clone()
-	ref, err := s.pages.Write(int(id), xmltree.Marshal(d.cur))
-	if err != nil {
-		unclaim()
-		return 0, fmt.Errorf("store: put %q: %w", name, err)
-	}
+	b := s.pages.Begin()
+	ref := b.Write(int(id), xmltree.Marshal(d.cur))
 	d.versions = []VersionInfo{{Ver: 1, Stamp: t, End: model.Forever, Snapshot: ref}}
-	committed, err := s.persistStaged(d)
+	committed, err := s.commitStaged(b, d)
 	if err != nil {
-		err = errors.Join(err, s.fenceAbandoned(id, nil))
 		unclaim()
-		s.pages.Free(ref)
 		return 0, fmt.Errorf("store: put %q: %w", name, err)
 	}
 
@@ -535,10 +482,9 @@ func (s *Store) Update(id model.DocID, tree *xmltree.Node, t model.Time) (model.
 		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
 	}
 	// Store the completed delta as its own XML document (Section 7.1).
-	deltaRef, err := s.pages.Write(int(id), xmltree.Marshal(script.ToXML()))
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
-	}
+	b := s.pages.Begin()
+	defer b.Release()
+	deltaRef := b.Write(int(id), xmltree.Marshal(script.ToXML()))
 	// Stage a copy-on-write successor of the delta index: the shared slice
 	// is never mutated in place, so readers (pinned or not) keep a
 	// consistent view until the publication swap.
@@ -547,23 +493,19 @@ func (s *Store) Update(id model.DocID, tree *xmltree.Node, t model.Time) (model.
 	last := &vs[len(vs)-1]
 	last.DeltaToNext = deltaRef
 	last.End = t
+	newInfo := VersionInfo{Ver: newVer, Stamp: t, End: model.Forever}
+	newInfo.Snapshot = b.Write(int(id), xmltree.Marshal(annotated))
 	// The previous "current" full version is dropped unless it is a
 	// snapshot version: the chain of completed deltas replaces it. The
-	// free is logged *before* the durability point — replay drops the
-	// extent and the commit atomically — but the payload stays readable
-	// (parked in the page store's limbo) until publication, so a
-	// concurrent reader that still selects the old version materializes
-	// it; after publication such a reader falls forward to the new
-	// current snapshot and walks the inverted delta back.
-	var freeOld pagestore.Ref
+	// free commits with the batch — replay drops the extent and the commit
+	// atomically — but the payload stays readable until the deferred
+	// Release, after publication, so a concurrent reader that still
+	// selects the old version materializes it; after publication such a
+	// reader falls forward to the new current snapshot and walks the
+	// inverted delta back.
 	if !s.isSnapshotVersion(last.Ver) {
-		freeOld = last.Snapshot
+		b.Free(last.Snapshot)
 		last.Snapshot = pagestore.Ref{}
-	}
-	newInfo := VersionInfo{Ver: newVer, Stamp: t, End: model.Forever}
-	newInfo.Snapshot, err = s.pages.Write(int(id), xmltree.Marshal(annotated))
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
 	}
 	vs = append(vs, newInfo)
 	staged := &docEntry{
@@ -571,21 +513,8 @@ func (s *Store) Update(id model.DocID, tree *xmltree.Node, t model.Time) (model.
 		created: d.created, deleted: d.deleted, rootXID: d.rootXID,
 		versions: vs,
 	}
-	s.pages.FreeStaged(freeOld)
-	committed, err := s.persistStaged(staged)
+	committed, err := s.commitStaged(b, staged)
 	if err != nil {
-		// Nothing was published; the old snapshot — still named by the
-		// published table — is restored from limbo, the published entry
-		// is fenced back in, and only then are the staged extents freed,
-		// so that no prefix of the log names a freed extent.
-		if uerr := s.pages.UnfreeStaged(freeOld); uerr != nil {
-			// The old snapshot could not be written back: degrade the
-			// cached current version rather than serve a dangling ref.
-			err = errors.Join(err, uerr)
-		}
-		err = errors.Join(err, s.fenceAbandoned(id, d))
-		s.pages.Free(deltaRef)
-		s.pages.Free(newInfo.Snapshot)
 		return 0, nil, fmt.Errorf("store: update %d: %w", id, err)
 	}
 
@@ -599,7 +528,6 @@ func (s *Store) Update(id model.DocID, tree *xmltree.Node, t model.Time) (model.
 		s.ckptCommits++
 	}
 	s.mu.Unlock()
-	s.pages.ReleaseStaged(freeOld)
 	return newVer, script, nil
 }
 
@@ -636,9 +564,9 @@ func (s *Store) Delete(id model.DocID, t model.Time) error {
 		created: d.created, deleted: t, rootXID: d.rootXID,
 		versions: vs,
 	}
-	committed, err := s.persistStaged(staged)
+	committed, err := s.commitStaged(s.pages.Begin(), staged)
 	if err != nil {
-		return fmt.Errorf("store: delete %d: %w", id, errors.Join(err, s.fenceAbandoned(id, d)))
+		return fmt.Errorf("store: delete %d: %w", id, err)
 	}
 
 	s.mu.Lock()

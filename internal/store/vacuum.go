@@ -81,13 +81,19 @@ func (r VacuumReport) String() string {
 // Vacuum applies the retention policy to every document: it materializes
 // snapshots among the surviving versions at the retention granule, then
 // frees the delta and snapshot extents of everything older, leaving pruned
-// stubs in the delta index. The current version is always kept. The freed
-// pages become reusable immediately; on a segmented WAL the space returns
-// to disk at the next checkpoint+compaction.
+// stubs in the delta index. The current version is always kept. All of it —
+// the new snapshots, the frees and the pruned tables — is staged in one
+// batch and swapped in only after that batch commits, so a failed vacuum
+// changes nothing. The freed pages become reusable immediately; on a
+// segmented WAL the space returns to disk at the next
+// checkpoint+compaction.
 func (s *Store) Vacuum(ret Retention) (VacuumReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep VacuumReport
+	b := s.pages.Begin()
+	defer b.Release()
+	staged := make(map[model.DocID][]VersionInfo)
 	ids := make([]model.DocID, 0, len(s.docs))
 	for id := range s.docs {
 		ids = append(ids, id)
@@ -96,38 +102,55 @@ func (s *Store) Vacuum(ret Retention) (VacuumReport, error) {
 	for _, id := range ids {
 		d := s.docs[id]
 		rep.Docs++
-		b := retentionBoundary(d, ret)
-		if b <= 0 {
+		bound := retentionBoundary(d, ret)
+		if bound <= 0 {
 			continue
 		}
-		if err := s.intersperseSnapshotsLocked(d, b, ret.Granule, &rep); err != nil {
+		vs := append([]VersionInfo(nil), d.versions...)
+		if err := s.intersperseSnapshotsLocked(b, d, vs, bound, ret.Granule, &rep); err != nil {
 			return rep, fmt.Errorf("store: vacuum doc %d: %w", id, err)
 		}
-		for i := 0; i < b; i++ {
-			v := &d.versions[i]
+		for i := 0; i < bound; i++ {
+			v := &vs[i]
 			if v.Pruned {
 				continue
 			}
 			if !v.DeltaToNext.Zero() {
 				rep.ExtentsFreed++
 				rep.BytesFreed += int64(v.DeltaToNext.Len)
-				s.pages.Free(v.DeltaToNext)
+				b.Free(v.DeltaToNext)
 				v.DeltaToNext = pagestore.Ref{}
 			}
 			if !v.Snapshot.Zero() {
 				rep.ExtentsFreed++
 				rep.BytesFreed += int64(v.Snapshot.Len)
-				s.pages.Free(v.Snapshot)
+				b.Free(v.Snapshot)
 				v.Snapshot = pagestore.Ref{}
 			}
 			v.Pruned = true
 			rep.VersionsPruned++
 		}
+		staged[id] = vs
 	}
-	if rep.VersionsPruned > 0 || rep.SnapshotsAdded > 0 {
-		if err := s.persistLocked(); err != nil {
-			return rep, fmt.Errorf("store: vacuum: %w", err)
+	if rep.VersionsPruned == 0 && rep.SnapshotsAdded == 0 {
+		return rep, nil
+	}
+	durable := s.pages.Durable()
+	if durable {
+		meta, err := s.marshalMetaLocked(staged)
+		if err != nil {
+			return rep, fmt.Errorf("store: vacuum: serialize meta: %w", err)
 		}
+		b.SetMeta(meta)
+	}
+	if err := b.Commit(); err != nil {
+		return rep, fmt.Errorf("store: vacuum: commit: %w", err)
+	}
+	if durable {
+		s.ckptCommits++
+	}
+	for id, vs := range staged {
+		s.docs[id].versions = vs
 	}
 	return rep, nil
 }
@@ -162,21 +185,23 @@ func retentionBoundary(d *docEntry, ret Retention) int {
 }
 
 // intersperseSnapshotsLocked materializes full snapshots among the
-// surviving versions [b, n) at the given granule so that reconstruction
-// never needs a delta below the cut: the boundary version b always gets
-// one, then every granule-th survivor above it. Callers hold s.mu.
-func (s *Store) intersperseSnapshotsLocked(d *docEntry, b, granule int, rep *VacuumReport) error {
+// surviving versions [bound, n) at the given granule so that
+// reconstruction never needs a delta below the cut: the boundary version
+// always gets one, then every granule-th survivor above it. The snapshots
+// are staged in batch b and recorded in vs, d's staged version table;
+// reconstruction reads d's published one. Callers hold s.mu.
+func (s *Store) intersperseSnapshotsLocked(b *pagestore.Batch, d *docEntry, vs []VersionInfo, bound, granule int, rep *VacuumReport) error {
 	if granule <= 0 {
 		granule = s.cfg.SnapshotEvery
 	}
-	for i := b; i < len(d.versions); i++ {
-		if granule <= 0 && i != b {
+	for i := bound; i < len(vs); i++ {
+		if granule <= 0 && i != bound {
 			break
 		}
-		if i != b && (i-b)%granule != 0 {
+		if i != bound && (i-bound)%granule != 0 {
 			continue
 		}
-		v := &d.versions[i]
+		v := &vs[i]
 		if !v.Snapshot.Zero() || v.Pruned {
 			continue
 		}
@@ -184,11 +209,7 @@ func (s *Store) intersperseSnapshotsLocked(d *docEntry, b, granule int, rep *Vac
 		if err != nil {
 			return fmt.Errorf("materializing snapshot of version %d: %w", v.Ver, err)
 		}
-		ref, err := s.pages.Write(int(d.id), xmltree.Marshal(vt.Root))
-		if err != nil {
-			return fmt.Errorf("storing snapshot of version %d: %w", v.Ver, err)
-		}
-		v.Snapshot = ref
+		v.Snapshot = b.Write(int(d.id), xmltree.Marshal(vt.Root))
 		rep.SnapshotsAdded++
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"txmldb/internal/model"
@@ -229,5 +230,77 @@ func TestVacuumSurvivesReopen(t *testing.T) {
 	}
 	if !s2.Fsck().Clean() {
 		t.Fatalf("fsck: %s", s2.Fsck())
+	}
+}
+
+// versionAnswers is what the store answers for every version of doc id:
+// its serialized tree, or the error's text.
+func versionAnswers(t *testing.T, s *Store, id model.DocID) []string {
+	t.Helper()
+	vs, err := s.Versions(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, v := range vs {
+		vt, err := s.ReconstructVersion(id, v.Ver)
+		if err != nil {
+			out = append(out, fmt.Sprintf("v%d: %v", v.Ver, err))
+			continue
+		}
+		out = append(out, vt.Root.String())
+	}
+	return out
+}
+
+// TestFailedVacuumMatchesReopen: a vacuum whose commit fails changes
+// nothing — the live store answers every version exactly as a reopen of
+// its log does — and a later vacuum that commits prunes as usual, live and
+// after a reopen.
+func TestFailedVacuumMatchesReopen(t *testing.T) {
+	dir := t.TempDir()
+	wal, err := pagestore.OpenSegmentedWAL(pagestore.SegWALConfig{Dir: dir, SegmentBytes: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six commits build the history; the seventh is the vacuum's.
+	inj := pagestore.NewInjector(wal, 1).Script(
+		pagestore.FaultRule{Op: pagestore.FaultCommit, Kind: pagestore.FaultPermanent, At: 7})
+	s, err := Open(Config{Pages: pagestore.Config{Backend: inj}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := buildHistory(t, s, 6)
+	ret := Retention{Policy: KeepLast, KeepLast: 2}
+	if _, err := s.Vacuum(ret); err == nil {
+		t.Fatal("vacuum succeeded through an armed commit fault")
+	}
+	live := versionAnswers(t, s, id)
+	reopened := segStore(t, dir, Config{})
+	if got := versionAnswers(t, reopened, id); !reflect.DeepEqual(live, got) {
+		t.Fatalf("after a failed vacuum the live store and a reopen disagree:\nlive     %q\nreopened %q", live, got)
+	}
+	reopened.Pages().Backend().Close()
+
+	rep, err := s.Vacuum(ret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.VersionsPruned != 4 {
+		t.Fatalf("VersionsPruned = %d, want 4", rep.VersionsPruned)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := segStore(t, dir, Config{})
+	defer s2.Close()
+	if _, err := s2.ReconstructVersion(id, 2); !errors.Is(err, ErrPruned) {
+		t.Fatalf("pruned version after reopen: %v", err)
+	}
+	if _, err := s2.ReconstructVersion(id, 5); err != nil {
+		t.Fatalf("survivor after reopen: %v", err)
+	}
+	if rep := s2.Fsck(); !rep.Clean() {
+		t.Fatalf("fsck: %s", rep)
 	}
 }

@@ -118,8 +118,9 @@ func (db *DB) storeVersion(d *docEntry, tree *xmltree.Node, t model.Time) error 
 		n.Stamp = t
 		return true
 	})
-	ref, err := db.pages.Write(int(d.id), xmltree.Marshal(cp))
-	if err != nil {
+	b := db.pages.Begin()
+	ref := b.Write(int(d.id), xmltree.Marshal(cp))
+	if err := b.Commit(); err != nil {
 		return fmt.Errorf("stratum: %w", err)
 	}
 	if n := len(d.versions); n > 0 {
