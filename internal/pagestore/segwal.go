@@ -120,8 +120,11 @@ var (
 // and applies the batch to the mirror afterwards, so readers never wait
 // behind the device.
 type SegmentedWAL struct {
-	// amu is the append lock: it serializes commits, segment rotation and
-	// segment deletion, and guards the fields below it.
+	// dmu serializes segment deletion (DropSegmentsBelow).
+	dmu sync.Mutex
+
+	// amu is the append lock: it serializes commits and segment rotation,
+	// and guards the fields below it.
 	amu      sync.Mutex
 	dir      string
 	segBytes int64
@@ -134,7 +137,7 @@ type SegmentedWAL struct {
 	// mu guards the mirror: the state the committed log describes.
 	mu      sync.Mutex
 	pos     LogPos // committed position: {seq, off} as of the last commit
-	minSeq  int64  // lowest segment file present on disk (written under amu too)
+	minSeq  int64  // lowest segment file present on disk (written under dmu too)
 	extents map[int64]Extent
 	origins map[int64]ExtentOrigin
 	meta    []byte
@@ -613,20 +616,33 @@ func (w *SegmentedWAL) StateSnapshot() WALState {
 	}
 }
 
+// removeFile unlinks a dropped segment file; tests swap it to hold an
+// unlink in flight.
+var removeFile = os.Remove
+
 // DropSegmentsBelow deletes segment files with sequence numbers below
 // minSeq (never the active segment) and returns how many were removed. The
 // compactor calls it once a published checkpoint covers them.
+//
+// Drops are serialized with each other, not with commits: the append lock
+// is held only to read the active segment, and the unlinks and the
+// directory fsync run outside it. Rotation only creates segments above the
+// active one, so a commit never touches a file being dropped.
 func (w *SegmentedWAL) DropSegmentsBelow(minSeq int64) (int, error) {
-	// Deleting dead segment files is serialized with rotation under the
-	// append lock; reads never touch these files.
+	w.dmu.Lock()
+	defer w.dmu.Unlock()
 	w.amu.Lock()
-	defer w.amu.Unlock()
-	if minSeq > w.seq {
-		minSeq = w.seq
+	active := w.seq
+	w.amu.Unlock()
+	if minSeq > active {
+		minSeq = active
 	}
+	w.mu.Lock()
+	from := w.minSeq
+	w.mu.Unlock()
 	removed := 0
-	for s := w.minSeq; s < minSeq; s++ {
-		err := os.Remove(filepath.Join(w.dir, SegmentFileName(s)))
+	for s := from; s < minSeq; s++ {
+		err := removeFile(filepath.Join(w.dir, SegmentFileName(s)))
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return removed, fmt.Errorf("pagestore: drop wal segment: %w", err)
 		}

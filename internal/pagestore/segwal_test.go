@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func openSeg(t *testing.T, dir string, segBytes int64) *SegmentedWAL {
@@ -306,6 +308,52 @@ func TestSegWALDropSegmentsBelow(t *testing.T) {
 		if _, err := r.Get(i); err != nil {
 			t.Fatalf("Get(%d) after compaction: %v", i, err)
 		}
+	}
+}
+
+// TestSegWALDropDoesNotBlockCommits: compaction deletes segments outside
+// the append lock, so a commit completes while an unlink is in flight.
+func TestSegWALDropDoesNotBlockCommits(t *testing.T) {
+	dir := t.TempDir()
+	w := openSeg(t, dir, 64)
+	for i := int64(0); i < 4; i++ {
+		segPut(t, w, i, bytes.Repeat([]byte{byte('a' + i)}, 40), 1)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	removeFile = func(name string) error {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return os.Remove(name)
+	}
+	t.Cleanup(func() { removeFile = os.Remove })
+
+	dropped := make(chan error, 1)
+	go func() {
+		_, err := w.DropSegmentsBelow(w.Pos().Seq)
+		dropped <- err
+	}()
+	<-entered
+	committed := make(chan error, 1)
+	go func() { committed <- w.Commit(&Batch{ops: []pendingOp{putOp(10, []byte("during drop"), 1)}}) }()
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatalf("Commit during a drop: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		<-dropped
+		t.Fatal("Commit blocked behind a segment unlink")
+	}
+	close(release)
+	if err := <-dropped; err != nil {
+		t.Fatalf("DropSegmentsBelow: %v", err)
+	}
+	if got, err := w.Get(10); err != nil || string(got.Data) != "during drop" {
+		t.Fatalf("Get(10) = %q, %v", got.Data, err)
 	}
 }
 

@@ -95,6 +95,21 @@ func BenchmarkUnmarshalDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkParse reads an external document of the shape the repo
+// benchmark's ingest writes: a 120-restaurant guide, indented.
+func BenchmarkParse(b *testing.B) {
+	g := tdocgen.New(tdocgen.Config{Seed: 1, InitialElems: 120, Versions: 1, Vocabulary: 2000})
+	src := g.History(0)[0].Tree.Pretty()
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := xmltree.ParseString(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMarshal(b *testing.B) {
 	versions, _ := benchChain(b)
 	tree := versions[len(versions)-1]

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"unicode"
@@ -14,28 +15,69 @@ import (
 // attribute prefix.
 const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
 
-// Unmarshal parses a storage serialization produced by Marshal.
-//
-// It is a single-pass decoder for the language Marshal writes — elements
-// (self-closing or not) with single- or double-quoted attributes, character
-// data, the five predefined entities and decimal/hex character references —
-// and yields the tree Parse would for the same bytes. Everything else is
-// rejected with an error: comments, processing instructions, CDATA,
-// DOCTYPE, malformed or mismatched tags, invalid UTF-8 and characters
-// outside XML's range.
+// Unmarshal reads one XML document: a storage serialization produced by
+// Marshal, or any document Parse accepts. It is the package's only XML
+// reader, a single pass over the bytes that yields the tree encoding/xml's
+// Decoder would: elements (self-closing or not) with single- or
+// double-quoted attributes, character data, the five predefined entities
+// and decimal/hex character references, CDATA sections as literal
+// character data. Comments, processing instructions and directives
+// (DOCTYPE with its internal subset) are skipped; an XML declaration must
+// say version 1.0 and UTF-8 if it names either. Character data that is
+// whitespace only is dropped, and adjacent runs (split by a comment, a
+// processing instruction or CDATA) are merged into one text node.
+// Attributes named txmldb:xid / txmldb:stamp / txmldb:tx are read as
+// persisted identity and removed from the visible attributes. Malformed or
+// mismatched tags, invalid UTF-8 and characters outside XML's range are
+// errors.
 //
 // The tree's strings point into one copy of data, so any of them keeps the
 // whole document alive; use CloneOwned for a tree that is kept long.
 func Unmarshal(data []byte) (*Node, error) {
-	d := decoder{src: string(data)}
-	root, err := d.document()
+	root, err := decode(string(data))
 	if err != nil {
 		return nil, fmt.Errorf("xmltree: unmarshal: %w", err)
 	}
 	return root, nil
 }
 
-// decoder holds the state of one Unmarshal. Names and values without
+// Parse reads one XML document from r and returns its root element, read
+// as Unmarshal reads it. Unlike Unmarshal's, the tree owns every string:
+// none of them keeps the input alive, so the tree may be kept as long as
+// the caller likes (the version store keeps it, and the full-text index
+// keys its words by substrings of its text).
+func Parse(r io.Reader) (*Node, error) {
+	var b strings.Builder
+	if _, err := io.Copy(&b, r); err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
+	}
+	return ParseString(b.String())
+}
+
+// ParseString parses an XML document held in a string, as Parse does.
+func ParseString(s string) (*Node, error) {
+	root, err := decode(s)
+	if err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
+	}
+	return root.CloneOwned(), nil
+}
+
+// MustParse parses s and panics on error; intended for tests and examples.
+func MustParse(s string) *Node {
+	n, err := ParseString(s)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+func decode(src string) (*Node, error) {
+	d := decoder{src: src}
+	return d.document()
+}
+
+// decoder holds the state of one decode. Names and values without
 // references are substrings of src, so decoding allocates little beyond
 // the nodes themselves.
 type decoder struct {
@@ -83,13 +125,9 @@ func (d *decoder) document() (*Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if isBlank(text) {
-				continue
+			if err := d.charData(text); err != nil {
+				return nil, err
 			}
-			if len(d.open) == 0 {
-				return nil, d.errorf("character data outside root element")
-			}
-			d.open[len(d.open)-1].n.AppendChild(d.node(Text, "", text))
 			continue
 		}
 		d.pos++
@@ -101,8 +139,12 @@ func (d *decoder) document() (*Node, error) {
 		case '/':
 			d.pos++
 			err = d.endTag()
-		case '!', '?':
-			err = d.errorf("comments, CDATA, DOCTYPE and processing instructions are not part of the storage format")
+		case '?':
+			d.pos++
+			err = d.procInst()
+		case '!':
+			d.pos++
+			err = d.bang()
 		default:
 			err = d.startTag()
 		}
@@ -119,8 +161,167 @@ func (d *decoder) document() (*Node, error) {
 	return d.root, nil
 }
 
+// charData adds one run of character data to the open element. A run that
+// is whitespace only is dropped; a run right after a text child (the two
+// were split by a comment, a processing instruction or CDATA) joins it.
+func (d *decoder) charData(text string) error {
+	if isBlank(text) {
+		return nil
+	}
+	if len(d.open) == 0 {
+		return d.errorf("character data outside root element")
+	}
+	parent := d.open[len(d.open)-1].n
+	if nc := len(parent.Children); nc > 0 && parent.Children[nc-1].IsText() {
+		parent.Children[nc-1].Value += text
+		return nil
+	}
+	parent.AppendChild(d.node(Text, "", text))
+	return nil
+}
+
+// procInst skips a processing instruction; d.pos is past "<?". An XML
+// declaration (target "xml", anywhere in the document) must not name a
+// version other than 1.0 or an encoding other than UTF-8.
+func (d *decoder) procInst() error {
+	target, err := d.name()
+	if err != nil {
+		return err
+	}
+	d.space()
+	end := strings.Index(d.src[d.pos:], "?>")
+	if end < 0 {
+		return d.errorf("unexpected EOF in processing instruction")
+	}
+	content := d.src[d.pos : d.pos+end]
+	d.pos += end + 2
+	if target != "xml" {
+		return nil
+	}
+	if v := declParam("version", content); v != "" && v != "1.0" {
+		return d.errorf("unsupported XML version %q", v)
+	}
+	if enc := declParam("encoding", content); enc != "" && !strings.EqualFold(enc, "utf-8") {
+		return d.errorf("unsupported encoding %q", enc)
+	}
+	return nil
+}
+
+// declParam returns the value of param="..." or param='...' in an XML
+// declaration's content, "" if there is none. It reads as encoding/xml
+// does: the first occurrence of param= followed by a quote counts, even
+// inside a longer name.
+func declParam(param, s string) string {
+	param += "="
+	for i := 0; i < len(s); {
+		k := strings.Index(s[i:], param)
+		if k < 0 || k+len(param) >= len(s)-i {
+			return ""
+		}
+		q := s[i+k+len(param)]
+		i += k + len(param) + 1
+		if q == '"' || q == '\'' {
+			if j := strings.IndexByte(s[i:], q); j >= 0 {
+				return s[i : i+j]
+			}
+			return ""
+		}
+	}
+	return ""
+}
+
+// bang reads what starts with "<!": a comment, a CDATA section or a
+// directive; d.pos is past the "!".
+func (d *decoder) bang() error {
+	if d.eof() {
+		return d.errorf("unexpected EOF after <!")
+	}
+	switch d.src[d.pos] {
+	case '-':
+		return d.comment()
+	case '[':
+		return d.cdata()
+	}
+	return d.directive()
+}
+
+// comment skips "<!-- ... -->"; a comment must not hold "--".
+func (d *decoder) comment() error {
+	if !strings.HasPrefix(d.src[d.pos:], "--") {
+		return d.errorf("invalid sequence <!- not part of <!--")
+	}
+	d.pos += 2
+	end := strings.Index(d.src[d.pos:], "--")
+	if end < 0 || d.pos+end+2 >= len(d.src) {
+		return d.errorf("unexpected EOF in comment")
+	}
+	d.pos += end + 2
+	if d.src[d.pos] != '>' {
+		return d.errorf(`invalid sequence "--" not allowed in comments`)
+	}
+	d.pos++
+	return nil
+}
+
+// cdata reads "<![CDATA[ ... ]]>" as literal character data, with CR and
+// CR LF turned into LF.
+func (d *decoder) cdata() error {
+	if !strings.HasPrefix(d.src[d.pos:], "[CDATA[") {
+		return d.errorf("invalid <![ sequence")
+	}
+	d.pos += len("[CDATA[")
+	end := strings.Index(d.src[d.pos:], "]]>")
+	if end < 0 {
+		return d.errorf("unexpected EOF in CDATA section")
+	}
+	text := strings.ReplaceAll(strings.ReplaceAll(d.src[d.pos:d.pos+end], "\r\n", "\n"), "\r", "\n")
+	d.pos += end + 3
+	if err := d.checkChars(text); err != nil {
+		return err
+	}
+	return d.charData(text)
+}
+
+// directive skips a directive such as <!DOCTYPE ...>, internal subset
+// included; d.pos is at the byte after "<!", which is taken as it is. As
+// in encoding/xml, the directive ends at the first '>' outside quotes that
+// closes no '<' opened inside it, and "<!-- ... -->" inside it is skipped.
+func (d *decoder) directive() error {
+	d.pos++
+	var quote byte
+	depth := 0
+	for !d.eof() {
+		c := d.src[d.pos]
+		d.pos++
+		switch {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == '"' || c == '\'':
+			quote = c
+		case c == '>':
+			if depth == 0 {
+				return nil
+			}
+			depth--
+		case c == '<':
+			if !strings.HasPrefix(d.src[d.pos:], "!--") {
+				depth++
+				continue
+			}
+			end := strings.Index(d.src[d.pos+3:], "-->")
+			if end < 0 {
+				return d.errorf("unexpected EOF in comment")
+			}
+			d.pos += 3 + end + 3
+		}
+	}
+	return d.errorf("unexpected EOF in directive")
+}
+
 func (d *decoder) startTag() error {
-	tag, err := d.name()
+	tag, err := d.qname()
 	if err != nil {
 		return err
 	}
@@ -142,7 +343,7 @@ func (d *decoder) startTag() error {
 			}
 			break
 		}
-		name, err := d.name()
+		name, err := d.qname()
 		if err != nil {
 			return err
 		}
@@ -207,7 +408,7 @@ func (d *decoder) startTag() error {
 }
 
 // endTag reads an end tag. Its name needs no checks of its own: it must
-// repeat the start tag's, which name() checked.
+// repeat the start tag's, which qname() checked.
 func (d *decoder) endTag() error {
 	tag := d.scanName()
 	d.space()
@@ -243,8 +444,9 @@ func splitName(s string) (prefix, local string) {
 	return "", s
 }
 
-// attrName is the name Parse reports for a raw attribute name:
-// encoding/xml replaces "xml" and declared prefixes by their namespace URL.
+// attrName is the name encoding/xml reports for a raw attribute name: it
+// replaces "xml" and declared prefixes by their namespace URL, and drops a
+// prefix declared as the empty URL.
 func (d *decoder) attrName(raw string) string {
 	prefix, local := splitName(raw)
 	switch prefix {
@@ -255,6 +457,9 @@ func (d *decoder) attrName(raw string) string {
 	}
 	for i := len(d.ns) - 1; i >= 0; i-- {
 		if d.ns[i].prefix == prefix {
+			if d.ns[i].url == "" {
+				return local
+			}
 			return d.ns[i].url + ":" + local
 		}
 	}
@@ -271,8 +476,8 @@ func (d *decoder) scanName() string {
 	return d.src[start:d.pos]
 }
 
-// name reads an element or attribute name: a run of name bytes that starts
-// like an XML name and holds at most one colon.
+// name reads a name (a processing instruction's target): a run of name
+// bytes that starts like an XML name.
 func (d *decoder) name() (string, error) {
 	s := d.scanName()
 	switch {
@@ -280,12 +485,19 @@ func (d *decoder) name() (string, error) {
 		return "", d.errorf("unexpected EOF, expected a name")
 	case s == "":
 		return "", d.errorf("expected a name, found %q", d.src[d.pos])
-	case strings.Count(s, ":") > 1:
-		return "", d.errorf("name %q has more than one colon", s)
 	case !validName(s):
 		return "", d.errorf("invalid XML name %q", s)
 	}
 	return s, nil
+}
+
+// qname reads an element or attribute name: a name with at most one colon.
+func (d *decoder) qname() (string, error) {
+	s, err := d.name()
+	if err == nil && strings.Count(s, ":") > 1 {
+		err = d.errorf("name %q has more than one colon", s)
+	}
+	return s, err
 }
 
 func validName(s string) bool {
@@ -413,17 +625,27 @@ func (d *decoder) slowText(start int, quote byte) (string, error) {
 		}
 		b0, b1 = b1, c
 	}
-	for b := d.buf; len(b) > 0; {
-		r, w := utf8.DecodeRune(b)
+	s := string(d.buf)
+	if err := d.checkChars(s); err != nil {
+		return "", err
+	}
+	return s, nil
+}
+
+// checkChars checks decoded character data: valid UTF-8, and only
+// characters in XML's range.
+func (d *decoder) checkChars(s string) error {
+	for len(s) > 0 {
+		r, w := utf8.DecodeRuneInString(s)
 		if r == utf8.RuneError && w == 1 {
-			return "", d.errorf("invalid UTF-8")
+			return d.errorf("invalid UTF-8")
 		}
 		if !inCharRange(r) {
-			return "", d.errorf("illegal character code %U", r)
+			return d.errorf("illegal character code %U", r)
 		}
-		b = b[w:]
+		s = s[w:]
 	}
-	return string(d.buf), nil
+	return nil
 }
 
 // reference decodes the entity or character reference starting at d.pos
@@ -466,7 +688,7 @@ func (d *decoder) reference(buf []byte) ([]byte, error) {
 }
 
 // isBlank reports whether character data is whitespace only (as
-// strings.TrimSpace sees it), which both readers drop.
+// strings.TrimSpace sees it), which the reader drops.
 func isBlank(s string) bool {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
