@@ -313,7 +313,7 @@ func (g *Graph) devirtualize(from *Node, site token.Pos, recv types.Type, name s
 // implements reports whether t or *t implements iface. Like node keys,
 // it must see through the loader's two type universes: an interface
 // declared in a package checked from source and mentioning that package's
-// own types (plan.Engine's PrefetchVersions takes plan.VersionKey) is
+// own types (the epochpin fixture's plan.Engine takes plan.Key) is
 // implemented by types whose packages saw it through export data, so the
 // method signatures are compared by their package-path-qualified strings
 // whenever go/types' identity check says no.

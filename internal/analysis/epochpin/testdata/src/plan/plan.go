@@ -9,10 +9,10 @@ package plan
 
 import "context"
 
-// Key is declared here and named by Engine, as plan.VersionKey is by the
-// real PrefetchVersions: the core fixture sees it through export data
-// while this package is checked from source, so devirtualizing Engine
-// must match signatures across the two type universes.
+// Key is declared here and named by Engine, an interface naming its own
+// package's type: the core fixture sees it through export data while
+// this package is checked from source, so devirtualizing Engine must
+// match signatures across the two type universes.
 type Key struct{ Doc string }
 
 // Engine is the interface the executor drives; the core fixture's DB

@@ -80,11 +80,11 @@ type Config struct {
 	// benchmarks keep measuring the raw reconstruction path).
 	Cache vcache.Config
 	// Workers bounds the shared worker pool beneath the multi-document
-	// operators (TPatternScanAll, DocHistory/ElementHistory, Diff,
-	// ReconstructBatch and the query executor's reconstruction prefetch).
-	// 0 defaults to GOMAXPROCS; 1 forces the inline sequential path,
-	// whose results every parallel run is guaranteed to reproduce
-	// byte-for-byte.
+	// operators (TPatternScanAll, Diff and ReconstructBatch). History
+	// walks (DocHistory, ElementHistory, [EVERY], [t1 TO t2]) are one
+	// sequential backward walk at every width. 0 defaults to GOMAXPROCS;
+	// 1 forces the inline sequential path, whose results every parallel
+	// run is guaranteed to reproduce byte-for-byte.
 	Workers int
 	// Resilience configures the health tier (internal/resilience): a
 	// circuit breaker around backend reads plus per-component health state
@@ -398,7 +398,7 @@ func (db *DB) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, error)
 	if err != nil {
 		return nil, err
 	}
-	return teidsOf(ms, p, func(pattern.Match) model.Time { return t }), nil
+	return pattern.TEIDs(ms, p, func(pattern.Match) model.Time { return t }), nil
 }
 
 // TPatternScanAll matches the pattern against all versions of all
@@ -410,7 +410,7 @@ func (db *DB) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
 	if err != nil {
 		return nil, err
 	}
-	return teidsOf(ms, p, func(m pattern.Match) model.Time { return m.Span.Start }), nil
+	return pattern.TEIDs(ms, p, func(m pattern.Match) model.Time { return m.Span.Start }), nil
 }
 
 // PatternScan matches against the current database state.
@@ -421,23 +421,7 @@ func (db *DB) PatternScan(p *pattern.PNode) ([]model.TEID, error) {
 		return nil, err
 	}
 	now := db.clock()
-	return teidsOf(ms, p, func(pattern.Match) model.Time { return now }), nil
-}
-
-func teidsOf(ms []pattern.Match, p *pattern.PNode, stamp func(pattern.Match) model.Time) []model.TEID {
-	proj := p.Projected()
-	seen := make(map[model.TEID]bool)
-	var out []model.TEID
-	for _, m := range ms {
-		for _, pn := range proj {
-			teid := m.TEID(pn, stamp(m))
-			if !seen[teid] {
-				seen[teid] = true
-				out = append(out, teid)
-			}
-		}
-	}
-	return out
+	return pattern.TEIDs(ms, p, func(pattern.Match) model.Time { return now }), nil
 }
 
 // ScanTContext implements plan.Engine: TPatternScan with the per-document
@@ -471,10 +455,8 @@ func (db *DB) ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]patte
 }
 
 // DocHistory returns all versions of the document valid in [from, to),
-// most recent first. With more than one worker and bounded chunk heads
-// (interspersed snapshots or the version cache) the walk is split into
-// contiguous chunks reconstructed concurrently; otherwise — and whenever
-// a chunk fails — it runs the sequential backward walk. With the version
+// most recent first: the store's backward walk of Section 7.3.4, one
+// reconstruction plus one inverted delta per version. With the version
 // cache enabled the materialized trees are offered to it (oldest first,
 // so the most recent version ends up most recently used), converting the
 // walk into future cache hits.
@@ -483,27 +465,15 @@ func (db *DB) DocHistory(id model.DocID, iv model.Interval) ([]store.VersionTree
 	return db.DocHistoryContext(context.Background(), id, iv)
 }
 
-// DocHistoryContext is DocHistory under a caller context: cancellation
-// aborts the chunked parallel walk between chunk reconstructions.
+// DocHistoryContext implements plan.Engine: DocHistory under a caller
+// context. A pinned walk fills no cache: the clamped infos it yields are
+// not the live ones.
 func (db *DB) DocHistoryContext(ctx context.Context, id model.DocID, iv model.Interval) ([]store.VersionTree, error) {
-	if _, pinnedRead := store.EpochOf(ctx); pinnedRead {
-		// Pinned walks take the sequential store path: the parallel
-		// chunker plans against the live version table, and the clamped
-		// infos a pinned walk yields must not enter the cache.
-		return db.store.DocHistoryContext(ctx, id, iv)
+	out, err := db.store.DocHistoryContext(ctx, id, iv)
+	if err != nil {
+		return nil, err
 	}
-	out, ok := db.parallelDocHistory(ctx, id, iv)
-	if !ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var err error
-		out, err = db.store.DocHistoryContext(ctx, id, iv)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if db.vcache != nil {
+	if _, pinnedRead := store.EpochOf(ctx); db.vcache != nil && !pinnedRead {
 		for i := len(out) - 1; i >= 0; i-- {
 			db.vcache.Add(id, out[i])
 		}
@@ -512,9 +482,10 @@ func (db *DB) DocHistoryContext(ctx context.Context, id model.DocID, iv model.In
 }
 
 // ElementHistory returns all versions of the element valid in [from, to),
-// most recent first. Like store.ElementHistory it reconstructs the
-// document versions and filters the subtree rooted at the element
-// (Section 7.3.5), but it goes through the cache-filling DocHistory.
+// most recent first: per Section 7.3.5 it walks the document's history
+// and keeps the subtree rooted at the element — "even if it was possible
+// to optimize this so that only the desired subtrees are reconstructed,
+// the whole deltas would have to be read anyway".
 func (db *DB) ElementHistory(eid model.EID, iv model.Interval) ([]store.VersionTree, error) {
 	//txvet:ignore ctxflow context-free operator API shim; ElementHistoryContext is the canonical path
 	return db.ElementHistoryContext(context.Background(), eid, iv)
@@ -522,12 +493,6 @@ func (db *DB) ElementHistory(eid model.EID, iv model.Interval) ([]store.VersionT
 
 // ElementHistoryContext is ElementHistory under a caller context.
 func (db *DB) ElementHistoryContext(ctx context.Context, eid model.EID, iv model.Interval) ([]store.VersionTree, error) {
-	if db.vcache == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return db.store.ElementHistoryContext(ctx, eid, iv)
-	}
 	docVersions, err := db.DocHistoryContext(ctx, eid.Doc, iv)
 	if err != nil {
 		return nil, err

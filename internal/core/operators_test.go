@@ -6,6 +6,7 @@ import (
 
 	"txmldb/internal/model"
 	"txmldb/internal/plan"
+	"txmldb/internal/vcache"
 	"txmldb/internal/xmltree"
 )
 
@@ -51,17 +52,34 @@ func TestOperatorDocHistory(t *testing.T) {
 	}
 }
 
+// TestOperatorElementHistory checks the history walk plus subtree filter
+// of Section 7.3.5, with and without the version cache the walk fills.
 func TestOperatorElementHistory(t *testing.T) {
-	db, id := openFigure1(t, Config{})
-	hist, err := db.ElementHistory(napoliEID(t, db, id), model.Always)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != 3 {
-		t.Fatalf("element history = %d", len(hist))
-	}
-	if hist[0].Root.SelectPath("price")[0].Text() != "18" {
-		t.Fatal("newest element version should have price 18")
+	for _, cfg := range []Config{{}, {Cache: vcache.Config{MaxBytes: 1 << 20}}} {
+		db, id := openFigure1(t, cfg)
+		hist, err := db.ElementHistory(napoliEID(t, db, id), model.Always)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hist) != 3 {
+			t.Fatalf("element history = %d", len(hist))
+		}
+		for i, price := range []string{"18", "15", "15"} {
+			if hist[i].Root.Name != "restaurant" {
+				t.Fatalf("element history root = %q", hist[i].Root.Name)
+			}
+			if got := hist[i].Root.SelectPath("price")[0].Text(); got != price {
+				t.Fatalf("price[%d] = %q, want %q", i, got, price)
+			}
+		}
+		// The deleted Akropolis element lives in version 2 only.
+		akro, err := db.ElementHistory(akropolisEID(t, db, id), model.Always)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(akro) != 1 || akro[0].Info.Ver != 2 {
+			t.Fatalf("Akropolis history = %+v", akro)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func guidePattern() *pattern.PNode {
 }
 
 // TestParallelScanStress interleaves parallel TPatternScanAll readers and
-// chunked DocHistory walks with Update/Delete writers under -race. Every
+// DocHistory walks with Update/Delete writers under -race. Every
 // returned TEID must stay reconstructible (versions are append-only), and
 // every history result must be a consistent snapshot: contiguous version
 // numbers, adjacent validity intervals — no torn version lists. After the
@@ -145,7 +145,7 @@ func TestParallelScanStress(t *testing.T) {
 		}()
 	}
 
-	// Readers: chunked history walks checked for torn version lists.
+	// Readers: history walks checked for torn version lists.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func(r int) {

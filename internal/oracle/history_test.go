@@ -54,7 +54,7 @@ func TestCacheCells(t *testing.T) {
 }
 
 // TestWorkerCells: memory, 8 workers, cache off: long histories for the
-// chunked walk. 2 and 4 workers run in the shard, crash and fault cells.
+// history walk. 2 and 4 workers run in the shard, crash and fault cells.
 func TestWorkerCells(t *testing.T) {
 	replay(t, []byte{0x06, 0x00, 3, 0x00, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00, 0x10, 0x00, 0x10, 0x09, 0x00, 0x20})
 }

@@ -106,7 +106,7 @@ func (c cell) String() string {
 }
 
 // engine is the per-engine configuration of the cell. Snapshots every
-// fourth version keep the chunked parallel history walk in play.
+// fourth version keep snapshot-headed reconstruction in play.
 func (c cell) engine(b pagestore.Backend) core.Config {
 	cfg := core.Config{
 		Clock:      clock,

@@ -156,6 +156,24 @@ func (m Match) TEID(p *PNode, t model.Time) model.TEID {
 	return m.Bindings[p].TEID(t)
 }
 
+// TEIDs projects matches of p to deduplicated TEIDs of its projected
+// nodes in first-match order, each match stamped by stamp.
+func TEIDs(ms []Match, p *PNode, stamp func(Match) model.Time) []model.TEID {
+	proj := p.Projected()
+	seen := make(map[model.TEID]bool)
+	var out []model.TEID
+	for _, m := range ms {
+		for _, pn := range proj {
+			teid := m.TEID(pn, stamp(m))
+			if !seen[teid] {
+				seen[teid] = true
+				out = append(out, teid)
+			}
+		}
+	}
+	return out
+}
+
 // Projected returns the pattern nodes flagged for projection, falling back
 // to the root if none are flagged.
 func (p *PNode) Projected() []*PNode {

@@ -239,8 +239,8 @@ func (ex *executor) bindFromItem(q *query.Query, f query.FromItem) ([]*binding, 
 	var out []*binding
 	if f.Kind == query.AtEvery || f.Kind == query.AtRange {
 		// Clip all match spans first so the needed document versions are
-		// known up front, prefetch them in one batch (parallel when the
-		// engine has workers), then run the expansion over warm trees.
+		// known up front, materialize them with one history walk, then run
+		// the expansion over warm trees.
 		var clipped []pattern.Match
 		for _, m := range matches {
 			if m.Doc != doc {
@@ -257,7 +257,7 @@ func (ex *executor) bindFromItem(q *query.Query, f query.FromItem) ([]*binding, 
 			m.Span = span
 			clipped = append(clipped, m)
 		}
-		if err := ex.prefetchEvery(doc, clipped, versions); err != nil {
+		if err := ex.walkHistory(doc, clipped, versions); err != nil {
 			return nil, err
 		}
 		for _, m := range clipped {
@@ -286,40 +286,47 @@ func (ex *executor) bindFromItem(q *query.Query, f query.FromItem) ([]*binding, 
 	return out, nil
 }
 
-// prefetchEvery batch-materializes the document versions the expansion of
-// the clipped matches will reconstruct, through the engine's
-// PrefetchVersions. Each prefetched key is exactly one reconstruction the
-// sequential pass would have performed (a distinct tree-cache miss), so
-// the Reconstructions metric is credited identically.
-func (ex *executor) prefetchEvery(doc model.DocID, matches []pattern.Match, versions []store.VersionInfo) error {
-	seen := make(map[treeKey]bool)
-	var keys []VersionKey
+// walkHistory materializes the document versions the expansion of the
+// clipped matches will reconstruct, with one DocHistory walk over their
+// hull (Section 7.3.4: one reconstruction plus one inverted delta per
+// version), and installs them into the tree cache. Each installed tree is
+// exactly one reconstruction the expansion would otherwise perform on
+// demand, so the Reconstructions metric is credited per tree.
+func (ex *executor) walkHistory(doc model.DocID, matches []pattern.Match, versions []store.VersionInfo) error {
+	need := make(map[model.VersionNo]bool)
+	var hull model.Interval
 	for _, m := range matches {
 		for _, vi := range versions {
-			if !vi.Interval().Overlaps(m.Span) {
+			iv := vi.Interval()
+			if !iv.Overlaps(m.Span) || need[vi.Ver] || ex.treeCache[treeKey{doc, vi.Ver}] != nil {
 				continue
 			}
-			k := treeKey{doc, vi.Ver}
-			if seen[k] || ex.treeCache[k] != nil {
-				continue
+			if len(need) == 0 || iv.Start < hull.Start {
+				hull.Start = iv.Start
 			}
-			seen[k] = true
-			keys = append(keys, VersionKey{Doc: doc, Ver: vi.Ver})
+			if len(need) == 0 || iv.End > hull.End {
+				hull.End = iv.End
+			}
+			need[vi.Ver] = true
 		}
 	}
-	if len(keys) < 2 {
+	if len(need) == 0 {
 		return nil
 	}
-	ran, err := ex.engine.PrefetchVersions(ex.ctx, keys, func(k VersionKey, vt store.VersionTree) {
-		t := vt
-		ex.treeCache[treeKey{k.Doc, k.Ver}] = &t
-	})
-	if ran {
-		// Count even on error: the sink installed the trees that did
-		// materialize before the failure aborted the batch.
-		ex.metrics.Reconstructions += len(keys)
+	if err := ex.ctx.Err(); err != nil {
+		return err
 	}
-	return err
+	hist, err := ex.engine.DocHistoryContext(ex.ctx, doc, hull)
+	if err != nil {
+		return err
+	}
+	for i := range hist {
+		if ver := hist[i].Info.Ver; need[ver] {
+			ex.treeCache[treeKey{doc, ver}] = &hist[i]
+			ex.metrics.Reconstructions++
+		}
+	}
+	return nil
 }
 
 // expandEvery turns one TPatternScanAll match into one binding per element

@@ -45,16 +45,10 @@ type Engine interface {
 	VersionsContext(ctx context.Context, doc model.DocID) ([]store.VersionInfo, error)
 	// ReconstructVersionContext is the Reconstruct operator.
 	ReconstructVersionContext(ctx context.Context, doc model.DocID, ver model.VersionNo) (store.VersionTree, error)
-	// PrefetchVersions batch-materializes document versions — typically in
-	// parallel. The executor uses it to warm its per-query tree cache
-	// before expanding [EVERY] and [t1 TO t2] FROM items, overlapping the
-	// independent reconstructions while the expansion itself stays
-	// sequential (results and reconstruction counts are identical either
-	// way). sink is called once per materialized key, from arbitrary
-	// goroutines but never concurrently. ran reports whether the prefetch
-	// executed; when false (e.g. a single-worker engine) the executor
-	// reconstructs on demand.
-	PrefetchVersions(ctx context.Context, keys []VersionKey, sink func(VersionKey, store.VersionTree)) (ran bool, err error)
+	// DocHistoryContext is the DocHistory operator: the versions valid
+	// in iv, most recent first, from one backward walk. The executor
+	// materializes [EVERY] and [t1 TO t2] FROM items through it.
+	DocHistoryContext(ctx context.Context, doc model.DocID, iv model.Interval) ([]store.VersionTree, error)
 	// DegradedMode reports whether the engine's resilience tier is serving
 	// cache-first; the executor flags such results (Result.Degraded).
 	DegradedMode() bool
@@ -62,12 +56,6 @@ type Engine interface {
 	CreTime(eid model.EID) (model.Time, error)
 	// DelTime returns an element's deletion time (Forever while alive).
 	DelTime(eid model.EID) (model.Time, error)
-}
-
-// VersionKey names one document version for batch prefetch.
-type VersionKey struct {
-	Doc model.DocID
-	Ver model.VersionNo
 }
 
 // Metrics counts the work a query performed.

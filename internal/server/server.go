@@ -260,7 +260,7 @@ func (s *Server) registerEngineMetrics() {
 		pool(func(st txmldb.PoolStats) int64 { return st.QueueWait.Milliseconds() }))
 	// Per-operator speedup proxy (task-time / wall-time), scaled by
 	// 1000 because the registry is integer-valued.
-	for _, scope := range []string{"scan", "history", "diff", "reconstruct", "plan"} {
+	for _, scope := range []string{"scan", "diff", "reconstruct"} {
 		scope := scope
 		//txvet:ignore metricname per-scope gauge family: prefix is literal and the suffixes are the compile-time scope constants above
 		s.reg.GaugeFunc("txserved_pool_speedup_milli_"+scope,

@@ -18,11 +18,12 @@ import (
 	"txmldb/internal/xmltree"
 )
 
-// shardedDB builds a 3-shard in-memory router holding a few documents.
-func shardedDB(tb testing.TB) *shard.Router {
+// shardedDB builds an in-memory router of the given number of shards
+// holding a few documents.
+func shardedDB(tb testing.TB, shards int) *shard.Router {
 	tb.Helper()
 	r := shard.Open(shard.Config{
-		Shards: 3,
+		Shards: shards,
 		Engine: func(int) core.Config {
 			return core.Config{Clock: func() model.Time { return model.Date(2001, 2, 10) }}
 		},
@@ -45,7 +46,7 @@ func shardedDB(tb testing.TB) *shard.Router {
 // txserved_shard_* family with one shard="NN" series per shard, and the
 // plain engine exposes none of it.
 func TestShardMetricsExposition(t *testing.T) {
-	s := New(shardedDB(t), Config{SlowQuery: -1, ErrorLog: discardLogger()})
+	s := New(shardedDB(t, 3), Config{SlowQuery: -1, ErrorLog: discardLogger()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -111,6 +112,43 @@ func TestShardMetricsExposition(t *testing.T) {
 	if strings.Contains(string(body2), "txserved_shard") {
 		t.Error("unsharded engine exposed txserved_shard_* series")
 	}
+}
+
+// TestShardPoolSpeedupScopes: the router's pool submits under the scope
+// names the txserved_pool_speedup_milli_<scope> gauges carry, so a scan
+// across two shards moves the _scan gauge off zero.
+func TestShardPoolSpeedupScopes(t *testing.T) {
+	s := New(shardedDB(t, 2), Config{SlowQuery: -1, ErrorLog: discardLogger()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/query?q=" + url.QueryEscape(
+		`SELECT R FROM doc("http://doc0.example.com/x.xml")[EVERY]/restaurant R`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: status %d", resp.StatusCode)
+	}
+	if got := s.engine.PoolStats().Scopes["scan"].Tasks; got != 2 {
+		t.Errorf("router pool ran %d scan tasks, want one per shard", got)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "txserved_pool_speedup_milli_scan "); ok {
+			if v == "0" {
+				t.Error("txserved_pool_speedup_milli_scan reads 0 after a scan across two shards")
+			}
+			return
+		}
+	}
+	t.Error("/metrics has no txserved_pool_speedup_milli_scan gauge")
 }
 
 func shardStatsOf(t *testing.T, s *Server) []txmldb.ShardStats {

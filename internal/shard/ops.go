@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"txmldb/internal/core"
 	"txmldb/internal/diff"
@@ -202,7 +201,7 @@ func (r *Router) translateMatches(s int, ms []pattern.Match) ([]pattern.Match, e
 // ScanTContext implements plan.Engine: the pattern against the snapshot
 // valid at t, across all shards.
 func (r *Router) ScanTContext(ctx context.Context, p *pattern.PNode, t model.Time) ([]pattern.Match, error) {
-	return r.scatter(ctx, "shardscan", func(db *core.DB) ([]pattern.Match, error) {
+	return r.scatter(ctx, "scan", func(db *core.DB) ([]pattern.Match, error) {
 		return db.ScanTContext(ctx, p, t)
 	})
 }
@@ -210,7 +209,7 @@ func (r *Router) ScanTContext(ctx context.Context, p *pattern.PNode, t model.Tim
 // ScanAllContext implements plan.Engine: the pattern against all versions
 // of all documents, across all shards.
 func (r *Router) ScanAllContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
-	return r.scatter(ctx, "shardscan", func(db *core.DB) ([]pattern.Match, error) {
+	return r.scatter(ctx, "scan", func(db *core.DB) ([]pattern.Match, error) {
 		return db.ScanAllContext(ctx, p)
 	})
 }
@@ -218,7 +217,7 @@ func (r *Router) ScanAllContext(ctx context.Context, p *pattern.PNode) ([]patter
 // ScanCurrentContext implements plan.Engine: the non-temporal PatternScan
 // across all shards.
 func (r *Router) ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]pattern.Match, error) {
-	return r.scatter(ctx, "shardscan", func(db *core.DB) ([]pattern.Match, error) {
+	return r.scatter(ctx, "scan", func(db *core.DB) ([]pattern.Match, error) {
 		return db.ScanCurrentContext(ctx, p)
 	})
 }
@@ -232,7 +231,7 @@ func (r *Router) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, err
 	if err != nil {
 		return nil, err
 	}
-	return teidsOf(ms, p, func(pattern.Match) model.Time { return t }), nil
+	return pattern.TEIDs(ms, p, func(pattern.Match) model.Time { return t }), nil
 }
 
 // TPatternScanAll matches against all versions of all documents; each
@@ -242,7 +241,7 @@ func (r *Router) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
 	if err != nil {
 		return nil, err
 	}
-	return teidsOf(ms, p, func(m pattern.Match) model.Time { return m.Span.Start }), nil
+	return pattern.TEIDs(ms, p, func(m pattern.Match) model.Time { return m.Span.Start }), nil
 }
 
 // PatternScan matches against the current database state.
@@ -252,26 +251,7 @@ func (r *Router) PatternScan(p *pattern.PNode) ([]model.TEID, error) {
 		return nil, err
 	}
 	now := r.Now()
-	return teidsOf(ms, p, func(pattern.Match) model.Time { return now }), nil
-}
-
-// teidsOf projects matches to deduplicated TEIDs in first-match order —
-// the same projection core runs, applied to globally-translated matches
-// so the output is identical to a single engine's.
-func teidsOf(ms []pattern.Match, p *pattern.PNode, stamp func(pattern.Match) model.Time) []model.TEID {
-	proj := p.Projected()
-	seen := make(map[model.TEID]bool)
-	var out []model.TEID
-	for _, m := range ms {
-		for _, pn := range proj {
-			teid := m.TEID(pn, stamp(m))
-			if !seen[teid] {
-				seen[teid] = true
-				out = append(out, teid)
-			}
-		}
-	}
-	return out
+	return pattern.TEIDs(ms, p, func(pattern.Match) model.Time { return now }), nil
 }
 
 // --- single-document history and reconstruction ---
@@ -282,7 +262,8 @@ func (r *Router) DocHistory(id model.DocID, iv model.Interval) ([]store.VersionT
 	return r.DocHistoryContext(context.Background(), id, iv)
 }
 
-// DocHistoryContext is DocHistory under a caller context.
+// DocHistoryContext implements plan.Engine: DocHistory under a caller
+// context, on the home shard.
 func (r *Router) DocHistoryContext(ctx context.Context, id model.DocID, iv model.Interval) ([]store.VersionTree, error) {
 	s, local, err := r.locate(id)
 	if err != nil {
@@ -344,61 +325,9 @@ func (r *Router) ReconstructVersionContext(ctx context.Context, id model.DocID, 
 // ReconstructBatch reconstructs many element versions on the router pool;
 // each TEID routes to its owning shard.
 func (r *Router) ReconstructBatch(ctx context.Context, teids []model.TEID) ([]*xmltree.Node, error) {
-	return parallel.Map(ctx, r.pool, "shardreconstruct", len(teids), func(i int) (*xmltree.Node, error) {
+	return parallel.Map(ctx, r.pool, "reconstruct", len(teids), func(i int) (*xmltree.Node, error) {
 		return r.ReconstructContext(ctx, teids[i])
 	})
-}
-
-// PrefetchVersions implements plan.Engine: keys group by owning
-// shard, each group prefetches on its shard's pool, and the sink is
-// serialized by a router-level mutex (the contract is that it is never
-// called concurrently) with keys translated back to the global space.
-func (r *Router) PrefetchVersions(ctx context.Context, keys []plan.VersionKey, sink func(plan.VersionKey, store.VersionTree)) (bool, error) {
-	groups := make(map[int][]plan.VersionKey) // shard -> local keys
-	toGlobal := make(map[int]map[plan.VersionKey]plan.VersionKey)
-	for _, k := range keys {
-		s, local, err := r.locate(k.Doc)
-		if err != nil {
-			return false, err
-		}
-		lk := plan.VersionKey{Doc: local, Ver: k.Ver}
-		groups[s] = append(groups[s], lk)
-		if toGlobal[s] == nil {
-			toGlobal[s] = make(map[plan.VersionKey]plan.VersionKey)
-		}
-		toGlobal[s][lk] = k
-	}
-	shards := make([]int, 0, len(groups))
-	for s := range groups {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	var sinkMu sync.Mutex
-	ranAny := false
-	var ranMu sync.Mutex
-	err := r.pool.Run(ctx, "shardprefetch", len(shards), func(i int) error {
-		s := shards[i]
-		release := r.gates[s].enter()
-		defer release()
-		back := toGlobal[s]
-		ran, err := r.shards[s].PrefetchVersions(ctx, groups[s], func(lk plan.VersionKey, vt store.VersionTree) {
-			sinkMu.Lock()
-			defer sinkMu.Unlock()
-			if gk, ok := back[lk]; ok {
-				sink(gk, vt)
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-		if ran {
-			ranMu.Lock()
-			ranAny = true
-			ranMu.Unlock()
-		}
-		return nil
-	})
-	return ranAny, err
 }
 
 // --- timestamp operators ---

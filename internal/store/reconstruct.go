@@ -208,7 +208,11 @@ func (s *Store) ReconstructAtContext(ctx context.Context, id model.DocID, t mode
 // DocHistoryContext returns all versions of the document valid in
 // [from, to), most recent first — the output order of the paper's
 // DocHistory algorithm (Section 7.3.4), which falls out of backward
-// reconstruction. ctx bounds retry backoff and carries the epoch pin; the
+// reconstruction. It is the one walk every run of versions is
+// materialized by: DocHistory, ElementHistory (Section 7.3.5, the same
+// walk plus a subtree filter) and the query executor's [EVERY] and
+// [t1 TO t2]. The read lock is held for the whole walk. ctx is polled
+// once per version, bounds retry backoff and carries the epoch pin; the
 // circuit breaker applies.
 func (s *Store) DocHistoryContext(ctx context.Context, id model.DocID, iv model.Interval) ([]VersionTree, error) {
 	s.mu.RLock()
@@ -242,6 +246,9 @@ func (s *Store) DocHistoryContext(ctx context.Context, id model.DocID, iv model.
 	tree := vt.Root
 	ap := diff.NewApplier(tree)
 	for i := last; i >= 0 && d.infoAt(i, e).Interval().Overlaps(iv); i-- {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		out = append(out, VersionTree{Info: d.infoAt(i, e), Root: tree.Clone()})
 		if i > 0 && d.versions[i-1].Pruned {
 			// Pruning is a per-document prefix: everything further back was
@@ -256,26 +263,6 @@ func (s *Store) DocHistoryContext(ctx context.Context, id model.DocID, iv model.
 			if err := ap.Apply(script.Invert()); err != nil {
 				return nil, fmt.Errorf("store: history walk at version %d: %w", i, err)
 			}
-		}
-	}
-	return out, nil
-}
-
-// ElementHistoryContext returns all versions of the element valid in
-// [from, to), most recent first, honoring ctx. Per Section 7.3.5 it
-// reconstructs the document versions and filters the subtree rooted at the
-// element — "even if it was possible to optimize this so that only the
-// desired subtrees are reconstructed, the whole deltas would have to be
-// read anyway".
-func (s *Store) ElementHistoryContext(ctx context.Context, eid model.EID, iv model.Interval) ([]VersionTree, error) {
-	docVersions, err := s.DocHistoryContext(ctx, eid.Doc, iv)
-	if err != nil {
-		return nil, err
-	}
-	var out []VersionTree
-	for _, dv := range docVersions {
-		if sub := dv.Root.FindXID(eid.X); sub != nil {
-			out = append(out, VersionTree{Info: dv.Info, Root: sub.Detach()})
 		}
 	}
 	return out, nil

@@ -183,12 +183,6 @@ func (s *Store) Resilience() *resilience.Tier { return s.cfg.Resilience }
 // Pages exposes the simulated disk, mainly for I/O accounting in benchmarks.
 func (s *Store) Pages() *pagestore.Store { return s.pages }
 
-// SnapshotEvery reports the configured snapshot interval: a full snapshot
-// is stored every k-th version (0 = only the current version has one). The
-// parallel history walk uses it to decide whether chunked reconstruction
-// is cheaper than one backward pass.
-func (s *Store) SnapshotEvery() int { return s.cfg.SnapshotEvery }
-
 // Durable reports whether the store survives a process crash.
 func (s *Store) Durable() bool { return s.pages.Durable() }
 

@@ -302,16 +302,20 @@ func (n *Node) SelectPath(path string) []*Node {
 
 // Clone returns a deep copy of the subtree rooted at n. The copy keeps
 // XIDs and timestamps and has a nil parent. It shares its strings with n.
-func (n *Node) Clone() *Node { return n.clone(false) }
+func (n *Node) Clone() *Node { return n.clone(nil) }
 
 // CloneOwned is Clone with a fresh copy of every name, value and attribute
 // string. A tree from Unmarshal points into the whole serialized document
 // (and a replayed tree into every delta of its chain); a tree that outlives
 // the request that decoded it should be a CloneOwned copy, so that it
-// retains only what DeepSize counts.
-func (n *Node) CloneOwned() *Node { return n.clone(true) }
+// retains only what DeepSize counts. Each distinct element or attribute
+// name is copied once and shared within the copy.
+func (n *Node) CloneOwned() *Node { return n.clone(make(map[string]string)) }
 
-func (n *Node) clone(own bool) *Node {
+// clone copies the subtree. A nil names map shares every string with n;
+// otherwise values are copied and names are copied once each through
+// names, which maps a source name to its copy.
+func (n *Node) clone(names map[string]string) *Node {
 	cp := &Node{
 		Kind:  n.Kind,
 		Name:  n.Name,
@@ -319,22 +323,38 @@ func (n *Node) clone(own bool) *Node {
 		XID:   n.XID,
 		Stamp: n.Stamp,
 	}
-	if own {
-		cp.Name, cp.Value = strings.Clone(n.Name), strings.Clone(n.Value)
+	if names != nil {
+		cp.Name, cp.Value = ownName(names, n.Name), strings.Clone(n.Value)
 	}
 	if len(n.Attrs) > 0 {
 		cp.Attrs = append([]Attr(nil), n.Attrs...)
-		if own {
+		if names != nil {
 			for i := range cp.Attrs {
-				cp.Attrs[i].Name = strings.Clone(cp.Attrs[i].Name)
+				cp.Attrs[i].Name = ownName(names, cp.Attrs[i].Name)
 				cp.Attrs[i].Value = strings.Clone(cp.Attrs[i].Value)
 			}
 		}
 	}
-	for _, c := range n.Children {
-		cp.AppendChild(c.clone(own))
+	if len(n.Children) > 0 {
+		cp.Children = make([]*Node, len(n.Children))
+		for i, c := range n.Children {
+			cc := c.clone(names)
+			cc.Parent = cp
+			cp.Children[i] = cc
+		}
 	}
 	return cp
+}
+
+// ownName returns the copy of name recorded in names, making and recording
+// it on first sight.
+func ownName(names map[string]string, name string) string {
+	if own, ok := names[name]; ok || name == "" {
+		return own
+	}
+	own := strings.Clone(name)
+	names[name] = own
+	return own
 }
 
 // Equal reports deep structural equality of the two subtrees: kind, name,
