@@ -71,7 +71,6 @@ func main() {
 	breakerOpen := flag.Duration("breaker-open", 5*time.Second, "how long an open breaker fails fast before probing the backend again")
 	quiet := flag.Bool("quiet", false, "disable the per-request access log")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "byte budget of the shared version-reconstruction cache (0 disables)")
-	cacheReplay := flag.Int("cache-replay", 128, "max deltas replayed forward from a cached ancestor version")
 	workers := flag.Int("workers", 0, "worker-pool size for parallel operators (0 = GOMAXPROCS, 1 = sequential)")
 	ckptEvery := flag.Duration("checkpoint-every", 0, "durable mode: background checkpoint interval (0 disables; checkpoints bound reopen replay and reclaim log segments)")
 	commitWindow := flag.Duration("commit-window", 0, "durable mode: WAL group-commit window — concurrent commits arriving within it share one fsync (0: no wait, only commits queued behind an in-flight fsync share the next; try 1ms under concurrent writers)")
@@ -89,7 +88,7 @@ func main() {
 			},
 		}
 	}
-	db, err := openDB(*dataDir, *demo, txmldb.CacheConfig{MaxBytes: *cacheBytes, MaxReplay: *cacheReplay}, *workers, res, *shards, *shardInflight, *commitWindow)
+	db, err := openDB(*dataDir, *demo, txmldb.CacheConfig{MaxBytes: *cacheBytes}, *workers, res, *shards, *shardInflight, *commitWindow)
 	if err != nil {
 		log.Fatal(err)
 	}

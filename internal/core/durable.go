@@ -180,19 +180,14 @@ func (db *DB) Fsck() store.FsckReport {
 // database is unusable afterwards.
 func (db *DB) Close() error { return db.store.Close() }
 
-// reindex rebuilds the in-memory indexes from the whole version store.
-func (db *DB) reindex() error {
-	_, _, err := db.reindexFrom(nil)
-	return err
-}
-
 // reindexFrom feeds the version store through the index maintenance path,
 // starting per document at the horizon (nil: everything — the full rebuild
 // after recovery without a usable checkpoint). Versions made unreachable by
 // storage corruption or pruned by retention are skipped — queries over them
 // fail with the storage error, while intact versions stay indexed and
-// queryable (graceful degradation; Fsck reports damage). Returns how many
-// documents and versions were fed through maintenance.
+// queryable (graceful degradation; Fsck reports damage). Each document is
+// one store walk, oldest first. Returns how many documents and versions
+// were fed through maintenance.
 func (db *DB) reindexFrom(horizon map[model.DocID]horizonDoc) (docs, count int, err error) {
 	for _, id := range db.store.Docs() {
 		info, err := db.store.Info(id)
@@ -208,31 +203,36 @@ func (db *DB) reindexFrom(horizon map[model.DocID]horizonDoc) (docs, count int, 
 			from, deletionIndexed = h.Versions, h.Deleted
 		}
 		indexed := 0
-		for i := from; i < len(versions); i++ {
-			v := versions[i]
-			vt, err := db.store.ReconstructVersion(id, v.Ver)
-			if err != nil {
-				continue // unreachable or pruned version: skip, Fsck reports damage
-			}
-			var script *diff.Script
-			if i > 0 {
-				// The delta leading into this version; absence (corrupt
-				// chain) falls back to whole-version indexing, which the
-				// version FTI handles and the delta FTI tolerates as nil.
-				if s, err := db.store.ReadDelta(id, versions[i-1].Ver); err == nil {
-					script = s
+		if from < len(versions) {
+			err := db.store.Walk(id, model.Interval{Start: versions[from].Stamp, End: model.Forever}, nil, func(vt store.VersionTree, err error) error {
+				if err != nil {
+					return nil // unreachable or pruned version: skip, Fsck reports damage
 				}
+				v := vt.Info
+				var script *diff.Script
+				if v.Ver > 1 {
+					// The delta leading into this version; absence (corrupt
+					// chain) falls back to whole-version indexing, which the
+					// version FTI handles and the delta FTI tolerates as nil.
+					if s, err := db.store.ReadDelta(id, v.Ver-1); err == nil {
+						script = s
+					}
+				}
+				if err := db.fti.AddVersion(id, vt.Root, script, v.Stamp); err != nil {
+					return fmt.Errorf("doc %d version %d: %w", id, v.Ver, err)
+				}
+				if db.times != nil {
+					db.times.AddVersion(id, vt.Root, script, v.Stamp)
+				}
+				if db.docTimes != nil {
+					db.docTimes.AddVersion(id, vt.Root)
+				}
+				indexed++
+				return nil
+			})
+			if err != nil {
+				return docs, count, err
 			}
-			if err := db.fti.AddVersion(id, vt.Root, script, v.Stamp); err != nil {
-				return docs, count, fmt.Errorf("doc %d version %d: %w", id, v.Ver, err)
-			}
-			if db.times != nil {
-				db.times.AddVersion(id, vt.Root, script, v.Stamp)
-			}
-			if db.docTimes != nil {
-				db.docTimes.AddVersion(id, vt.Root)
-			}
-			indexed++
 		}
 		if !info.Live() && info.Deleted != model.Forever && !deletionIndexed {
 			last, err := db.store.ReconstructVersion(id, versions[len(versions)-1].Ver)

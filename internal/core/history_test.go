@@ -54,3 +54,39 @@ func TestEveryQueryWalksHistoryOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedEveryQueryHitsCache: the history walk takes the version
+// cache's resident versions, so a repeated [EVERY] query over a
+// 48-version document reads no extent after the first run, and answers
+// the same rows.
+func TestRepeatedEveryQueryHitsCache(t *testing.T) {
+	const versions = 48
+	g := tdocgen.New(tdocgen.Config{Seed: 7, Versions: versions, Start: jan1})
+	q := fmt.Sprintf(`SELECT R FROM doc(%q)[EVERY]/restaurant R`, g.URL(0))
+	for _, workers := range []int{1, 2} {
+		db := Open(Config{Workers: workers, Cache: vcache.Config{MaxBytes: 64 << 20}})
+		if _, err := g.Load(db); err != nil {
+			t.Fatal(err)
+		}
+		var first string
+		for run := 1; run <= 3; run++ {
+			before := db.IOStats()
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("workers=%d run %d: %v", workers, run, err)
+			}
+			reads := db.IOStats().Sub(before).ExtentRead
+			got := res.Doc().String()
+			if run == 1 {
+				first = got
+				continue
+			}
+			if reads != 0 {
+				t.Errorf("workers=%d run %d: %d extent reads, want 0", workers, run, reads)
+			}
+			if got != first {
+				t.Errorf("workers=%d run %d: rows differ from the first run", workers, run)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"txmldb/internal/model"
+	"txmldb/internal/store"
 	"txmldb/internal/xmltree"
 )
 
@@ -15,7 +16,8 @@ import (
 // every document, with persistent identity — into a directory: one XML
 // file per document version plus a manifest. The dump is an interchange
 // format, not the storage format: Load replays it through the normal
-// update path, rebuilding deltas and indexes.
+// update path, rebuilding deltas and indexes. Each document is one store
+// walk; versions pruned by retention are no longer part of it.
 func (db *DB) Dump(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: dump: %w", err)
@@ -32,12 +34,8 @@ func (db *DB) Dump(dir string) error {
 		if !info.Live() {
 			docEl.SetAttr("deletedms", strconv.FormatInt(int64(info.Deleted), 10))
 		}
-		versions, err := db.Versions(id)
-		if err != nil {
-			return err
-		}
-		for _, v := range versions {
-			vt, err := db.ReconstructVersion(id, v.Ver)
+		err = db.store.Walk(id, model.Always, nil, func(vt store.VersionTree, err error) error {
+			v := vt.Info
 			if err != nil {
 				return fmt.Errorf("core: dump: doc %d version %d: %w", id, v.Ver, err)
 			}
@@ -49,6 +47,10 @@ func (db *DB) Dump(dir string) error {
 			vEl.SetAttr("file", file)
 			vEl.SetAttr("stampms", strconv.FormatInt(int64(v.Stamp), 10))
 			docEl.AppendChild(vEl)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		manifest.AppendChild(docEl)
 	}

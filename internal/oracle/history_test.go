@@ -16,7 +16,7 @@ import (
 )
 
 // FuzzOracle plays one history per input. The first two bytes pick the
-// cell, the third seeds tdocgen, and every further byte b is an operation
+// cell (decodeCell), the third seeds tdocgen, and every further byte b is an operation
 // op = b&15 % 10 on slot s = b>>4&3:
 //
 //	op 0..3  write s: update it, or (re-)create it
@@ -51,6 +51,20 @@ func replay(t *testing.T, histories ...[]byte) {
 // the cache must not mask, a delete and a re-create.
 func TestCacheCells(t *testing.T) {
 	replay(t, []byte{0x01, 0x00, 7, 0x00, 0x10, 0x20, 0x09, 0x00, 0x10, 0x09, 0x14, 0x00, 0x19, 0x10, 0x00, 0x39, 0x30, 0x00, 0x29})
+}
+
+// TestSnapshotCells: the snapshot axis — no snapshot but the current
+// version's (cache on), one per version (cache off) and one every 16th
+// (cache on, past two intervals so walks start on both sides of a
+// snapshot) — with vacuums re-interspersing snapshots among survivors.
+func TestSnapshotCells(t *testing.T) {
+	replay(t,
+		[]byte{0x01, 0x08, 31, 0x00, 0x10, 0x00, 0x10, 0x00, 0x09, 0x00, 0x10, 0x00, 0x09, 0x45, 0x00, 0x09},
+		[]byte{0x00, 0x10, 37, 0x00, 0x10, 0x20, 0x00, 0x10, 0x09, 0x00, 0x85, 0x10, 0x09},
+		[]byte{0x01, 0x18, 41, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
+			0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+			0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x10, 0x00, 0x00, 0xc5, 0x00, 0x09},
+	)
 }
 
 // TestWorkerCells: memory, 8 workers, cache off: long histories for the

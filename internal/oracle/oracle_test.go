@@ -87,7 +87,13 @@ type cell struct {
 	shards  int
 	backend backend
 	group   bool // 1 ms group-commit window
+	snap    int  // index into snapshotEvery
 }
+
+// snapshotEvery is the snapshot axis: the store's SnapshotEvery per cell.
+// Index 0 is the interval every cell used before the axis existed, so
+// inputs that leave its bits clear keep their meaning.
+var snapshotEvery = [4]int{4, 0, 1, 16}
 
 func decodeCell(in *input) cell {
 	a, b := in.next(), in.next()
@@ -96,22 +102,25 @@ func decodeCell(in *input) cell {
 		workers: 1 << (a >> 1 & 3),
 		shards:  1 << (a >> 3 & 3),
 		backend: backend(b & 3 % 3),
+		snap:    b >> 3 & 3,
 	}
 	c.group = c.backend != memory && b>>2&1 == 1 // a window needs a log
 	return c
 }
 
 func (c cell) String() string {
-	return fmt.Sprintf("cache=%v workers=%d shards=%d backend=%d group=%v", c.cache, c.workers, c.shards, c.backend, c.group)
+	return fmt.Sprintf("cache=%v workers=%d shards=%d backend=%d group=%v snapshot-every=%d",
+		c.cache, c.workers, c.shards, c.backend, c.group, snapshotEvery[c.snap])
 }
 
-// engine is the per-engine configuration of the cell. Snapshots every
-// fourth version keep snapshot-headed reconstruction in play.
+// engine is the per-engine configuration of the cell. The snapshot axis
+// puts the reconstruction planner's bases — snapshots on either side of a
+// target, or none but the current version's — in play.
 func (c cell) engine(b pagestore.Backend) core.Config {
 	cfg := core.Config{
 		Clock:      clock,
 		Workers:    c.workers,
-		Store:      store.Config{SnapshotEvery: 4, Pages: pagestore.Config{Backend: b}},
+		Store:      store.Config{SnapshotEvery: snapshotEvery[c.snap], Pages: pagestore.Config{Backend: b}},
 		Checkpoint: checkpoint.Config{SegmentBytes: 4096},
 	}
 	if c.cache {

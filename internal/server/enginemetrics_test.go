@@ -75,7 +75,6 @@ func TestEngineMetricsExposed(t *testing.T) {
 		"txserved_vcache_lookups_total",
 		"txserved_vcache_hits_total",
 		"txserved_vcache_misses_total",
-		"txserved_vcache_ancestor_hits_total",
 		"txserved_vcache_collapsed_flights_total",
 		"txserved_vcache_evictions_total",
 		"txserved_vcache_invalidations_total",

@@ -361,9 +361,6 @@ func (s *Server) registerEngineMetrics() {
 		"version-cache exact hits", vc(func(st txmldb.CacheStats) int64 { return st.Hits }))
 	s.reg.CounterFunc("txserved_vcache_misses_total",
 		"version-cache misses", vc(func(st txmldb.CacheStats) int64 { return st.Misses }))
-	s.reg.CounterFunc("txserved_vcache_ancestor_hits_total",
-		"version-cache misses served by forward replay from a cached ancestor",
-		vc(func(st txmldb.CacheStats) int64 { return st.AncestorHits }))
 	s.reg.CounterFunc("txserved_vcache_collapsed_flights_total",
 		"version-cache misses collapsed into another goroutine's reconstruction",
 		vc(func(st txmldb.CacheStats) int64 { return st.CollapsedFlights }))

@@ -182,7 +182,6 @@ func (r *Router) CacheStats() (vcache.Stats, bool) {
 		agg.Lookups += st.Lookups
 		agg.Hits += st.Hits
 		agg.Misses += st.Misses
-		agg.AncestorHits += st.AncestorHits
 		agg.CollapsedFlights += st.CollapsedFlights
 		agg.Evictions += st.Evictions
 		agg.Invalidations += st.Invalidations

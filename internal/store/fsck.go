@@ -129,10 +129,8 @@ func (s *Store) Fsck() FsckReport {
 				}
 			}
 		}
-		// Blast radius: a version reconstructs if some intact snapshot at
-		// or after it is reachable through intact deltas. For each broken
-		// extent, report the versions that this extent alone makes
-		// unreachable.
+		// Blast radius: for each broken extent, report the versions that
+		// this extent alone makes unreachable.
 		for pi := range problems {
 			p := &problems[pi]
 			for v := 1; v <= n; v++ {
@@ -165,32 +163,22 @@ func (s *Store) provenance(ref pagestore.Ref) string {
 
 // reachableWith reports whether version v reconstructs given the intact
 // maps, optionally pretending the broken extent in fixed is intact (to
-// isolate one extent's blast radius).
+// isolate one extent's blast radius). It follows the planner: the current
+// version is its own snapshot, which recovery loads; an older one needs an
+// intact snapshot on either side and the intact deltas between.
 func reachableWith(deltaOK, snapOK []bool, v, n int, fixed *FsckProblem) bool {
-	dOK := func(i int) bool {
-		if fixed != nil && fixed.Kind == "delta" && int(fixed.Ver) == i {
-			return true
-		}
-		return deltaOK[i]
+	ok := func(kind string, i int, intact []bool) bool {
+		return intact[i] || fixed != nil && fixed.Kind == kind && int(fixed.Ver) == i
 	}
-	sOK := func(i int) bool {
-		if fixed != nil && fixed.Kind == "snapshot" && int(fixed.Ver) == i {
-			return true
-		}
-		return snapOK[i]
+	if v == n {
+		return ok("snapshot", n, snapOK)
 	}
-	for sv := v; sv <= n; sv++ {
-		if !sOK(sv) {
-			continue
+	for sv := 1; sv <= n; sv++ {
+		reach := ok("snapshot", sv, snapOK)
+		for d := min(v, sv); reach && d < max(v, sv); d++ {
+			reach = ok("delta", d, deltaOK)
 		}
-		ok := true
-		for d := v; d < sv; d++ {
-			if !dOK(d) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if reach {
 			return true
 		}
 	}

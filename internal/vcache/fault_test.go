@@ -116,17 +116,13 @@ type erroringSource struct {
 
 var errSourceDown = fmt.Errorf("source down")
 
-func (e *erroringSource) ReconstructVersionContext(ctx context.Context, doc model.DocID, ver model.VersionNo) (store.VersionTree, error) {
-	vt, err := e.blockingSource.ReconstructVersionContext(ctx, doc, ver)
+func (e *erroringSource) ReconstructWith(ctx context.Context, doc model.DocID, ver model.VersionNo, res store.Resident) (store.VersionTree, error) {
+	vt, err := e.blockingSource.ReconstructWith(ctx, doc, ver, res)
 	if e.failing.Load() {
 		e.errs.Add(1)
 		return store.VersionTree{}, errSourceDown
 	}
 	return vt, err
-}
-
-func (e *erroringSource) ReconstructFromContext(ctx context.Context, doc model.DocID, base store.VersionTree, to model.VersionNo) (store.VersionTree, error) {
-	return e.ReconstructVersionContext(ctx, doc, to)
 }
 
 func TestSingleflightPropagatesErrorToAllWaiters(t *testing.T) {

@@ -30,7 +30,7 @@ func TestStressReadersWithWriter(t *testing.T) {
 	s, id := versionedStore(t, initialVersions, store.Config{SnapshotEvery: 8})
 	// A small budget keeps eviction churning while readers and the writer
 	// race, which is the interesting regime for -race.
-	c := New(s, Config{MaxBytes: 64 << 10, MaxReplay: 16})
+	c := New(s, Config{MaxBytes: 64 << 10})
 
 	// highWater is the version count readers may safely ask for. The writer
 	// publishes after Update+InvalidateDoc, mirroring core.DB's ordering.

@@ -4,17 +4,19 @@
 // version store.
 //
 // The paper's Section 7.3.3 shows Reconstruct cost growing linearly with
-// the number of deltas between a stored snapshot and the requested
-// version (claim C3 in DESIGN.md). The store bounds that statically with
-// interspersed snapshots; this cache bounds it dynamically across
-// queries:
+// the number of deltas between a base and the requested version (claim
+// C3 in DESIGN.md). The store bounds that statically with interspersed
+// snapshots; this cache bounds it dynamically across queries:
 //
 //   - An exact hit returns a clone of the resident tree — no delta I/O.
-//   - A miss with a cached ancestor v′ < v clones v′ and replays only the
-//     v′→v delta chain forward (store.ReconstructFromContext) instead of
-//     walking backward from the nearest snapshot at or after v.
+//   - A miss asks the store's planner, handing it the document's resident
+//     versions (Resident): the planner may start from any of them, before
+//     or after the target, when that is cheaper than a stored snapshot.
+//     History walks take the same hook, so a run of resident versions is
+//     walked without reading an extent.
 //   - Concurrent misses for the same version collapse into a single
-//     flight: one goroutine replays, the rest wait and share the result.
+//     flight: one goroutine reconstructs, the rest wait and share the
+//     result.
 //
 // Cached trees are immutable; every Get returns a deep clone, so callers
 // may mutate their copy freely (history walks Detach subtrees, the plan
@@ -37,21 +39,19 @@ import (
 
 	"txmldb/internal/model"
 	"txmldb/internal/store"
+	"txmldb/internal/xmltree"
 )
 
 // Source is the reconstruction backend beneath the cache. *store.Store
 // implements it. The context bounds the backend reads: retry backoff
 // aborts when it is canceled, and the store's circuit breaker may reject
 // reads fast while open — either way the error propagates to every
-// goroutine collapsed onto the flight and is never cached. Both methods
-// return a tree the caller owns.
+// goroutine collapsed onto the flight and is never cached.
 type Source interface {
-	// ReconstructVersionContext materializes one version from scratch
-	// (backward replay from the nearest snapshot at or after it).
-	ReconstructVersionContext(ctx context.Context, doc model.DocID, ver model.VersionNo) (store.VersionTree, error)
-	// ReconstructFromContext materializes version `to` by forward replay
-	// from an already-materialized base version; base is not modified.
-	ReconstructFromContext(ctx context.Context, doc model.DocID, base store.VersionTree, to model.VersionNo) (store.VersionTree, error)
+	// ReconstructWith materializes one version, possibly starting from or
+	// passing through a version res holds (res may be nil), and returns a
+	// tree the caller owns.
+	ReconstructWith(ctx context.Context, doc model.DocID, ver model.VersionNo, res store.Resident) (store.VersionTree, error)
 }
 
 // Config parameterizes a Cache.
@@ -62,31 +62,22 @@ type Config struct {
 	// owns it (core.Config); the constructor itself treats <= 0 as a
 	// minimal 1 MiB budget so a directly-constructed cache always works.
 	MaxBytes int64
-	// MaxReplay bounds how many deltas a nearest-cached-ancestor miss
-	// replays forward. An ancestor further away than this is ignored and
-	// the version is reconstructed from scratch, which keeps ancestor
-	// replay from losing to a nearby stored snapshot. Default 128.
-	MaxReplay int
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 1 << 20
 	}
-	if c.MaxReplay <= 0 {
-		c.MaxReplay = 128
-	}
 	return c
 }
 
 // Stats is a consistent snapshot of the cache counters. Lookups is always
-// Hits + Misses; AncestorHits and CollapsedFlights are subsets of Misses.
+// Hits + Misses; CollapsedFlights is a subset of Misses.
 type Stats struct {
 	Lookups          int64 // Get calls
 	Hits             int64 // exact (doc, version) hits
 	Misses           int64 // everything else, including collapsed waiters
-	AncestorHits     int64 // misses served by forward replay from a cached ancestor
-	CollapsedFlights int64 // misses that waited on another goroutine's replay
+	CollapsedFlights int64 // misses that waited on another goroutine's reconstruction
 	Evictions        int64 // entries evicted by the byte budget
 	Invalidations    int64 // entries dropped by InvalidateDoc
 	Fills            int64 // entries installed via Add (history-walk fills)
@@ -186,27 +177,14 @@ func (c *Cache) GetContext(ctx context.Context, doc model.DocID, ver model.Versi
 		return cloneTree(f.vt), nil
 	}
 
-	// Lead a new flight. Snapshot the generation and the nearest cached
-	// ancestor under the lock; replay outside it.
+	// Lead a new flight. Snapshot the generation under the lock;
+	// reconstruct outside it, planning with the resident versions.
 	f := &flight{done: make(chan struct{})}
 	c.flights[k] = f
 	gen := c.gens[doc]
-	base, haveBase := c.nearestAncestorLocked(doc, ver)
 	c.mu.Unlock()
 
-	var vt store.VersionTree
-	var err error
-	usedAncestor := false
-	if haveBase {
-		vt, err = c.src.ReconstructFromContext(ctx, doc, base, ver)
-		usedAncestor = err == nil
-		// A broken forward chain (corrupt delta) falls back to the full
-		// backward reconstruction, which may route around the damage via
-		// a later snapshot.
-	}
-	if !usedAncestor {
-		vt, err = c.src.ReconstructVersionContext(ctx, doc, ver)
-	}
+	vt, err := c.src.ReconstructWith(ctx, doc, ver, c.Resident(doc))
 
 	// The cache and the waiters share an owned copy; the reconstructed
 	// tree itself is private to this call and goes to the leader.
@@ -218,12 +196,10 @@ func (c *Cache) GetContext(ctx context.Context, doc model.DocID, ver model.Versi
 	delete(c.flights, k)
 	f.vt, f.err = owned, err
 	if err == nil {
-		if usedAncestor {
-			c.stats.AncestorHits++
-		}
-		// Install only if no invalidation raced the replay: a write to
-		// this document may have changed the validity interval carried in
-		// vt.Info between our snapshot of the generation and now.
+		// Install only if no invalidation raced the reconstruction: a
+		// write to this document may have changed the validity interval
+		// carried in vt.Info between our snapshot of the generation and
+		// now.
 		if c.gens[doc] == gen {
 			c.insertLocked(k, owned)
 		}
@@ -238,7 +214,7 @@ func (c *Cache) GetContext(ctx context.Context, doc model.DocID, ver model.Versi
 }
 
 // Add offers an already-materialized version to the cache (history walks
-// use it to convert their backward replay into future hits). The tree is
+// use it to convert their walk into future hits). The tree is
 // deep-copied; the caller keeps ownership of vt. Already-resident
 // versions are refreshed in recency only.
 func (c *Cache) Add(doc model.DocID, vt store.VersionTree) {
@@ -300,20 +276,28 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// nearestAncestorLocked returns a cache-owned tree of the closest cached
-// version strictly below ver, if one is within the forward-replay bound.
-func (c *Cache) nearestAncestorLocked(doc model.DocID, ver model.VersionNo) (store.VersionTree, bool) {
-	var bestEl *list.Element
-	var best model.VersionNo
-	for v, el := range c.byDoc[doc] {
-		if v < ver && (bestEl == nil || v > best) {
-			best, bestEl = v, el
-		}
+// Resident returns the store planner's hook over the versions of doc
+// resident now: the store may start a reconstruction or a history walk
+// from any of them, or pick them up on its way, instead of reading
+// extents. The hook is a snapshot: it never takes the cache's lock, and
+// the trees it hands out are the cache's own, which the store only reads.
+// Content is immutable, so it serves pinned readers too. A nil cache has
+// no hook.
+func (c *Cache) Resident(doc model.DocID) store.Resident {
+	if c == nil {
+		return nil
 	}
-	if bestEl == nil || int(ver-best) > c.cfg.MaxReplay {
-		return store.VersionTree{}, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	vers := c.byDoc[doc]
+	if len(vers) == 0 {
+		return nil
 	}
-	return bestEl.Value.(*entry).vt, true
+	trees := make(map[model.VersionNo]*xmltree.Node, len(vers))
+	for v, el := range vers {
+		trees[v] = el.Value.(*entry).vt.Root
+	}
+	return func(v model.VersionNo) *xmltree.Node { return trees[v] }
 }
 
 // insertLocked adds a cache-owned tree under k and evicts LRU entries
