@@ -174,6 +174,27 @@ func (t *Tier) ReleaseRead() {
 	t.breaker.Release()
 }
 
+// Recover reports whether the tier is degraded after giving a degraded
+// backend the reads that let it recover: it calls read, a backend read
+// through AllowRead, until the breaker is closed and the backend component
+// healthy again, or a read fails. The backend leaves Degraded only on
+// successful reads, and serving may need none (the current version and
+// cache-resident versions are in memory), so without these reads a healed
+// device would leave the engine read-only for good. It waits out an open
+// breaker's window, its run is bounded by the successes recovery needs,
+// and corruption is left to Fsck.
+func (t *Tier) Recover(read func() error) bool {
+	if !t.Degraded() {
+		return false
+	}
+	if t.breaker.RemainingOpen() == 0 {
+		for n := t.breaker.cfg.ProbeSuccesses + int(Failing)*t.backend.cfg.RecoverAfter; n > 0 &&
+			(t.breaker.State() != BreakerClosed || t.backend.State() > Healthy) && read() == nil; n-- {
+		}
+	}
+	return t.Degraded()
+}
+
 // RecordFsck feeds a completed storage verification into the data
 // component: a clean walk clears a corruption-degraded state, a dirty one
 // (re)degrades it.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -231,7 +232,7 @@ func (s *Store) restoreMeta(meta []byte, deltas [][]byte) error {
 		// current version always has one; if it is unreadable, degrade
 		// rather than refuse to open.
 		cur := d.curInfo()
-		if data, err := s.readExtent(cur.Snapshot); err != nil {
+		if data, err := s.readExtentCtx(context.Background(), cur.Snapshot); err != nil {
 			d.curErr = fmt.Errorf("store: recover doc %d (%q): current snapshot: %w", md.ID, md.Name, err)
 		} else if tree, err := xmltree.Unmarshal(data); err != nil {
 			d.curErr = fmt.Errorf("store: recover doc %d (%q): parsing current snapshot: %w", md.ID, md.Name, err)
