@@ -29,20 +29,6 @@ var (
 	ErrCheckpointBusy = errors.New("core: checkpoint already in progress")
 )
 
-// Aux blob keys inside a checkpoint image.
-const (
-	auxFTI     = "fti"
-	auxTidx    = "tidx"
-	auxDocTime = "doctime"
-)
-
-// indexSnapshotter is satisfied by every index flavour that can serialize
-// itself into a checkpoint image.
-type indexSnapshotter interface {
-	SnapshotState() ([]byte, error)
-	RestoreState([]byte) error
-}
-
 // CheckpointStats aggregates the database's checkpoint activity.
 type CheckpointStats struct {
 	Runs            int           // published checkpoints
@@ -122,27 +108,9 @@ func (db *DB) captureSnapshot() (checkpoint.Snapshot, error) {
 	if err != nil {
 		return checkpoint.Snapshot{}, err
 	}
-	aux := make(map[string][]byte)
-	if snap, ok := db.fti.(indexSnapshotter); ok {
-		blob, err := snap.SnapshotState()
-		if err != nil {
-			return checkpoint.Snapshot{}, fmt.Errorf("serialize full-text index: %w", err)
-		}
-		aux[auxFTI] = blob
-	}
-	if db.times != nil {
-		blob, err := db.times.SnapshotState()
-		if err != nil {
-			return checkpoint.Snapshot{}, fmt.Errorf("serialize time index: %w", err)
-		}
-		aux[auxTidx] = blob
-	}
-	if db.docTimes != nil {
-		blob, err := db.docTimes.SnapshotState()
-		if err != nil {
-			return checkpoint.Snapshot{}, fmt.Errorf("serialize document-time index: %w", err)
-		}
-		aux[auxDocTime] = blob
+	aux, err := db.ix.capture()
+	if err != nil {
+		return checkpoint.Snapshot{}, err
 	}
 	return checkpoint.Snapshot{
 		Extents: state.Extents,

@@ -7,12 +7,9 @@ import (
 
 	"txmldb/internal/checkpoint"
 	"txmldb/internal/diff"
-	"txmldb/internal/doctime"
-	"txmldb/internal/fti"
 	"txmldb/internal/model"
 	"txmldb/internal/pagestore"
 	"txmldb/internal/store"
-	"txmldb/internal/tidx"
 )
 
 // OpenDurable opens (or creates) a database whose storage tier is a
@@ -49,21 +46,18 @@ func OpenDurable(cfg Config, dir string) (*DB, error) {
 	replayDur := time.Since(replayStart)
 
 	// Index recovery: restore the image's index blobs and reindex only the
-	// versions beyond the checkpoint horizon; any restore failure rebuilds
-	// fresh indexes from the full history instead.
+	// versions beyond the checkpoint horizon; any restore failure keeps the
+	// fresh, empty index set and rebuilds it from the full history instead.
 	indexStart := time.Now()
 	var horizon map[model.DocID]horizonDoc
 	restored := false
 	if info.UsedCheckpoint && len(info.Aux) > 0 {
-		if h, err := parseHorizon(info.Horizon); err == nil {
-			if err := db.restoreIndexes(info.Aux); err == nil {
-				horizon, restored = h, true
-			} else {
-				db.resetIndexes(cfg)
-				info.Fallback = joinFallback(info.Fallback, fmt.Sprintf("index restore: %v", err))
-			}
-		} else {
+		if h, err := parseHorizon(info.Horizon); err != nil {
 			info.Fallback = joinFallback(info.Fallback, err.Error())
+		} else if ix, err := restore(cfg, info.Aux); err != nil {
+			info.Fallback = joinFallback(info.Fallback, fmt.Sprintf("index restore: %v", err))
+		} else {
+			db.ix, horizon, restored = ix, h, true
 		}
 	}
 	docs, versions, err := db.reindexFrom(horizon)
@@ -100,61 +94,6 @@ func joinFallback(a, b string) string {
 		return b
 	}
 	return a + "; " + b
-}
-
-// restoreIndexes loads the index blobs of a checkpoint image into the
-// freshly assembled (empty) indexes. A blob missing for a configured index
-// is an error — the horizon would lie about its coverage.
-func (db *DB) restoreIndexes(aux map[string][]byte) error {
-	snap, ok := db.fti.(indexSnapshotter)
-	if !ok {
-		return fmt.Errorf("full-text index %s cannot restore snapshots", db.fti.Name())
-	}
-	blob, ok := aux[auxFTI]
-	if !ok {
-		return fmt.Errorf("image has no %q blob", auxFTI)
-	}
-	if err := snap.RestoreState(blob); err != nil {
-		return err
-	}
-	if db.times != nil {
-		blob, ok := aux[auxTidx]
-		if !ok {
-			return fmt.Errorf("image has no %q blob", auxTidx)
-		}
-		if err := db.times.RestoreState(blob); err != nil {
-			return err
-		}
-	}
-	if db.docTimes != nil {
-		blob, ok := aux[auxDocTime]
-		if !ok {
-			return fmt.Errorf("image has no %q blob", auxDocTime)
-		}
-		if err := db.docTimes.RestoreState(blob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// resetIndexes replaces possibly part-restored indexes with fresh empty
-// ones, so a failed restore can fall back to a full reindex.
-func (db *DB) resetIndexes(cfg Config) {
-	switch cfg.Index {
-	case IndexDeltas:
-		db.fti = fti.NewDeltaIndex()
-	case IndexBoth:
-		db.fti = fti.NewBothIndex()
-	default:
-		db.fti = fti.NewVersionIndex()
-	}
-	if db.times != nil {
-		db.times = tidx.New()
-	}
-	if db.docTimes != nil {
-		db.docTimes = doctime.New(doctime.Config{Paths: cfg.DocTimePaths})
-	}
 }
 
 // WALStats returns the write-ahead-log counters, or false when the
@@ -218,14 +157,8 @@ func (db *DB) reindexFrom(horizon map[model.DocID]horizonDoc) (docs, count int, 
 						script = s
 					}
 				}
-				if err := db.fti.AddVersion(id, vt.Root, script, v.Stamp); err != nil {
+				if err := db.ix.add(id, vt.Root, script, v.Stamp); err != nil {
 					return fmt.Errorf("doc %d version %d: %w", id, v.Ver, err)
-				}
-				if db.times != nil {
-					db.times.AddVersion(id, vt.Root, script, v.Stamp)
-				}
-				if db.docTimes != nil {
-					db.docTimes.AddVersion(id, vt.Root)
 				}
 				indexed++
 				return nil
@@ -235,14 +168,8 @@ func (db *DB) reindexFrom(horizon map[model.DocID]horizonDoc) (docs, count int, 
 			}
 		}
 		if !info.Live() && info.Deleted != model.Forever && !deletionIndexed {
-			last, err := db.store.ReconstructVersion(id, versions[len(versions)-1].Ver)
-			if err == nil {
-				if err := db.fti.DeleteDoc(id, last.Root, info.Deleted); err != nil {
-					return docs, count, fmt.Errorf("doc %d delete: %w", id, err)
-				}
-			}
-			if db.times != nil {
-				db.times.DeleteDoc(id, info.Deleted)
+			if err := db.ix.del(id, info.Deleted); err != nil {
+				return docs, count, fmt.Errorf("doc %d delete: %w", id, err)
 			}
 			indexed++
 		}

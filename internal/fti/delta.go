@@ -191,7 +191,7 @@ func (ix *DeltaIndex) removeOcc(doc model.DocID, docLive map[occKey]*liveEntry, 
 }
 
 // DeleteDoc implements Index.
-func (ix *DeltaIndex) DeleteDoc(doc model.DocID, _ *xmltree.Node, t model.Time) error {
+func (ix *DeltaIndex) DeleteDoc(doc model.DocID, t model.Time) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	docLive := ix.live[doc]
@@ -363,11 +363,11 @@ func (ix *BothIndex) AddVersion(doc model.DocID, newRoot *xmltree.Node, script *
 }
 
 // DeleteDoc implements Index.
-func (ix *BothIndex) DeleteDoc(doc model.DocID, lastRoot *xmltree.Node, t model.Time) error {
-	if err := ix.Version.DeleteDoc(doc, lastRoot, t); err != nil {
+func (ix *BothIndex) DeleteDoc(doc model.DocID, t model.Time) error {
+	if err := ix.Version.DeleteDoc(doc, t); err != nil {
 		return err
 	}
-	return ix.Delta.DeleteDoc(doc, lastRoot, t)
+	return ix.Delta.DeleteDoc(doc, t)
 }
 
 // Lookup implements Index.

@@ -225,10 +225,10 @@ func TestVersionIndexMatchesOracle(t *testing.T) {
 						case v == 11 && d == 1:
 							// The document is deleted and its last version
 							// comes back under the same DocID, whole.
-							if err := ix.DeleteDoc(doc, trees[d][v-1], at-1); err != nil {
+							if err := ix.DeleteDoc(doc, at-1); err != nil {
 								t.Fatal(err)
 							}
-							if err := or.DeleteDoc(doc, trees[d][v-1], at-1); err != nil {
+							if err := or.DeleteDoc(doc, at-1); err != nil {
 								t.Fatal(err)
 							}
 							script = nil

@@ -112,9 +112,8 @@ type Index interface {
 	// script is nil for the initial version, otherwise the completed delta
 	// that produced newRoot. newRoot is the stored (annotated) version.
 	AddVersion(doc model.DocID, newRoot *xmltree.Node, script *diff.Script, t model.Time) error
-	// DeleteDoc closes the document's postings at time t; lastRoot is its
-	// final version.
-	DeleteDoc(doc model.DocID, lastRoot *xmltree.Node, t model.Time) error
+	// DeleteDoc closes the document's postings at time t.
+	DeleteDoc(doc model.DocID, t model.Time) error
 	// Lookup returns postings of word in currently valid versions
 	// (FTI_lookup in the paper).
 	Lookup(word string) []Posting

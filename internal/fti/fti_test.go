@@ -280,11 +280,10 @@ func TestDeleteDocClosesPostings(t *testing.T) {
 	for _, ix := range indexes() {
 		t.Run(ix.Name(), func(t *testing.T) {
 			s, id := loadFigure1(t, ix)
-			cur, _, _ := s.Current(id)
 			if err := s.Delete(id, feb10); err != nil {
 				t.Fatal(err)
 			}
-			if err := ix.DeleteDoc(id, cur, feb10); err != nil {
+			if err := ix.DeleteDoc(id, feb10); err != nil {
 				t.Fatal(err)
 			}
 			if got := ix.Lookup("Napoli"); len(got) != 0 {

@@ -136,7 +136,7 @@ func (ix *oracleVersionIndex) closeLocked(word string, idx int, t model.Time) {
 }
 
 // DeleteDoc closes the document's open postings.
-func (ix *oracleVersionIndex) DeleteDoc(doc model.DocID, _ *xmltree.Node, t model.Time) error {
+func (ix *oracleVersionIndex) DeleteDoc(doc model.DocID, t model.Time) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for key, ent := range ix.open[doc] {

@@ -16,6 +16,14 @@ import (
 // and pointer values, so they are flattened into exported, value-typed
 // shapes first.
 
+// Snapshotter is an Index that serializes its state into a checkpoint
+// image and restores it; all three alternatives are Snapshotters.
+type Snapshotter interface {
+	Index
+	SnapshotState() ([]byte, error)
+	RestoreState([]byte) error
+}
+
 // versionOpenImage mirrors one open posting of a document: an element's
 // openSlot with the element's XID.
 type versionOpenImage struct {

@@ -6,20 +6,13 @@ import (
 	"txmldb/internal/model"
 )
 
-// snapshotter is implemented by all three index flavours.
-type snapshotter interface {
-	Index
-	SnapshotState() ([]byte, error)
-	RestoreState([]byte) error
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	cases := []struct {
-		build func() snapshotter
+		build func() Snapshotter
 	}{
-		{func() snapshotter { return NewVersionIndex() }},
-		{func() snapshotter { return NewDeltaIndex() }},
-		{func() snapshotter { return NewBothIndex() }},
+		{func() Snapshotter { return NewVersionIndex() }},
+		{func() Snapshotter { return NewDeltaIndex() }},
+		{func() Snapshotter { return NewBothIndex() }},
 	}
 	for _, c := range cases {
 		orig := c.build()
@@ -86,7 +79,7 @@ func TestSnapshotRestoredIndexAcceptsUpdates(t *testing.T) {
 }
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	for _, ix := range []snapshotter{NewVersionIndex(), NewDeltaIndex(), NewBothIndex()} {
+	for _, ix := range []Snapshotter{NewVersionIndex(), NewDeltaIndex(), NewBothIndex()} {
 		if err := ix.RestoreState([]byte("not gob")); err == nil {
 			t.Errorf("%s: garbage restore should fail", ix.Name())
 		}

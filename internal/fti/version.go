@@ -375,7 +375,7 @@ func (ix *VersionIndex) closeLocked(word string, idx int, t model.Time) {
 }
 
 // DeleteDoc implements Index.
-func (ix *VersionIndex) DeleteDoc(doc model.DocID, _ *xmltree.Node, t model.Time) error {
+func (ix *VersionIndex) DeleteDoc(doc model.DocID, t model.Time) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if d := ix.open[doc]; d != nil {

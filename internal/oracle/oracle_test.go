@@ -1,12 +1,13 @@
 // Package oracle is the differential and metamorphic test oracle of the
 // engine. One seeded history generator drives an engine configuration
-// (cache, workers, shards, backend, group window) and a plain in-memory
-// reference engine through the same random history of puts, updates,
-// deletes, re-creates, vacuums, checkpoints, injected faults and crash
-// cuts; one renderer prints everything a caller can observe of both, and
-// the two renderings must be byte-identical. On the reference it checks the
-// temporal laws the paper's semantics imply: snapshot reducibility
-// ([t] equals the [t TO t+1 day] rows and the [EVERY] rows valid at t),
+// (cache, workers, shards, backend, group window, snapshot interval, FTI
+// alternative) and a plain in-memory reference engine through the same
+// random history of puts, updates, deletes, re-creates, vacuums,
+// checkpoints, injected faults and crash cuts; one renderer prints
+// everything a caller can observe of both, and the two renderings must be
+// byte-identical. On the reference it checks the temporal laws the
+// paper's semantics imply: snapshot reducibility ([t] equals the
+// [t TO t+1 day] rows and the [EVERY] rows valid at t),
 // CreTime/DelTime equal to delta traversal (§7.3.6), Diff round trips
 // forward and inverted (§7.3.3), and PreviousTS ∘ NextTS = identity. A
 // separately written full-version store (internal/stratum) is the second
@@ -88,6 +89,7 @@ type cell struct {
 	backend backend
 	group   bool // 1 ms group-commit window
 	snap    int  // index into snapshotEvery
+	index   core.IndexKind
 }
 
 // snapshotEvery is the snapshot axis: the store's SnapshotEvery per cell.
@@ -101,6 +103,7 @@ func decodeCell(in *input) cell {
 		cache:   a&1 == 1,
 		workers: 1 << (a >> 1 & 3),
 		shards:  1 << (a >> 3 & 3),
+		index:   core.IndexKind(a >> 5 & 3 % 3), // 0 keeps IndexVersions
 		backend: backend(b & 3 % 3),
 		snap:    b >> 3 & 3,
 	}
@@ -109,16 +112,18 @@ func decodeCell(in *input) cell {
 }
 
 func (c cell) String() string {
-	return fmt.Sprintf("cache=%v workers=%d shards=%d backend=%d group=%v snapshot-every=%d",
-		c.cache, c.workers, c.shards, c.backend, c.group, snapshotEvery[c.snap])
+	return fmt.Sprintf("cache=%v workers=%d shards=%d backend=%d group=%v snapshot-every=%d index=%s",
+		c.cache, c.workers, c.shards, c.backend, c.group, snapshotEvery[c.snap], c.index)
 }
 
 // engine is the per-engine configuration of the cell. The snapshot axis
 // puts the reconstruction planner's bases — snapshots on either side of a
-// target, or none but the current version's — in play.
+// target, or none but the current version's — in play; the index axis
+// answers scans from each of the three FTI alternatives of §7.2.
 func (c cell) engine(b pagestore.Backend) core.Config {
 	cfg := core.Config{
 		Clock:      clock,
+		Index:      c.index,
 		Workers:    c.workers,
 		Store:      store.Config{SnapshotEvery: snapshotEvery[c.snap], Pages: pagestore.Config{Backend: b}},
 		Checkpoint: checkpoint.Config{SegmentBytes: 4096},

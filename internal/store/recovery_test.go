@@ -247,6 +247,9 @@ func TestRecoveryWithLostCurrentSnapshot(t *testing.T) {
 	if _, _, err := r.Update(id, guideV(map[string]string{"Napoli": "20"}), feb10); err == nil {
 		t.Fatalf("Update over a lost current version succeeded")
 	}
+	if err := r.Delete(id, feb10); err == nil {
+		t.Fatalf("Delete over a lost current version succeeded")
+	}
 	rep := r.Fsck()
 	if rep.Clean() {
 		t.Fatalf("fsck missed the lost snapshot")

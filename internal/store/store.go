@@ -557,6 +557,9 @@ func (s *Store) Delete(id model.DocID, t model.Time) error {
 	if d.deleted != model.Forever {
 		return fmt.Errorf("%w: %d", ErrDeleted, id)
 	}
+	if d.cur == nil {
+		return fmt.Errorf("store: delete %d: current version unavailable: %w", id, d.curErr)
+	}
 	cur := *d.curInfo()
 	if t <= cur.Stamp {
 		return fmt.Errorf("%w: delete at %s <= %s", ErrStale, t, cur.Stamp)

@@ -375,7 +375,7 @@ func (a *indexAdapter) LookupH(word string) []fti.Posting {
 	})
 }
 
-func (a *indexAdapter) DeleteDoc(model.DocID, *xmltree.Node, model.Time) error {
+func (a *indexAdapter) DeleteDoc(model.DocID, model.Time) error {
 	return fmt.Errorf("stratum: maintenance goes through DB.Delete")
 }
 
