@@ -96,8 +96,8 @@ func operatorTour(db *txmldb.DB) {
 			log.Fatal(err)
 		}
 		name := node.SelectPath("name")[0].Text()
-		cre, _ := db.CreTimeAt(teid)
-		del, _ := db.DelTimeAt(teid)
+		cre, _ := db.CreTime(teid.E)
+		del, _ := db.DelTime(teid.E)
 		fmt.Printf("  %-12s TEID=%v  CreTime=%s  DelTime=%s\n", name, teid, cre, del)
 	}
 

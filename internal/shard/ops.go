@@ -343,17 +343,6 @@ func (r *Router) CreTime(eid model.EID) (model.Time, error) {
 	return r.shards[s].CreTime(eid)
 }
 
-// CreTimeAt is CreTime(TEID).
-func (r *Router) CreTimeAt(teid model.TEID) (model.Time, error) {
-	s, local, err := r.locate(teid.E.Doc)
-	if err != nil {
-		return 0, err
-	}
-	defer r.gates[s].enter()()
-	teid.E.Doc = local
-	return r.shards[s].CreTimeAt(teid)
-}
-
 // DelTime implements plan.Engine: the element's deletion time.
 func (r *Router) DelTime(eid model.EID) (model.Time, error) {
 	s, local, err := r.locate(eid.Doc)
@@ -363,17 +352,6 @@ func (r *Router) DelTime(eid model.EID) (model.Time, error) {
 	defer r.gates[s].enter()()
 	eid.Doc = local
 	return r.shards[s].DelTime(eid)
-}
-
-// DelTimeAt is DelTime(TEID).
-func (r *Router) DelTimeAt(teid model.TEID) (model.Time, error) {
-	s, local, err := r.locate(teid.E.Doc)
-	if err != nil {
-		return 0, err
-	}
-	defer r.gates[s].enter()()
-	teid.E.Doc = local
-	return r.shards[s].DelTimeAt(teid)
 }
 
 // PreviousTS returns the document version preceding the TEID's timestamp.
