@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,12 +101,13 @@ type Config struct {
 
 // DB is a temporal XML database.
 type DB struct {
-	store  *store.Store
-	ix     *indexes
-	vcache *vcache.Cache    // nil when disabled
-	pool   *parallel.Pool   // shared worker pool of the parallel tier
-	res    *resilience.Tier // nil when disabled
-	clock  func() model.Time
+	Operators // the operators of Section 6.1, composed over this DB
+	store     *store.Store
+	ix        *indexes
+	vcache    *vcache.Cache    // nil when disabled
+	pool      *parallel.Pool   // shared worker pool of the parallel tier
+	res       *resilience.Tier // nil when disabled
+	clock     func() model.Time
 
 	// wmu is the writer gate of the checkpoint subsystem: Put/Update/Delete
 	// hold it shared for the duration of a mutation, checkpoint capture
@@ -157,6 +157,7 @@ func assemble(cfg Config, st *store.Store) *DB {
 		db.vcache = vcache.New(st, cfg.Cache)
 	}
 	db.pool = parallel.New(parallel.Config{Workers: cfg.Workers})
+	db.Operators = NewOperators(db, db.pool)
 	if db.clock == nil {
 		db.clock = func() model.Time { return model.TimeOf(time.Now()) }
 	}
@@ -181,6 +182,15 @@ func (db *DB) DocTimeRange(iv model.Interval) ([]doctime.Entry, error) {
 
 // Now implements plan.Engine.
 func (db *DB) Now() model.Time { return db.clock() }
+
+// Pool exposes the shared worker pool; the serving layer registers its
+// counters on /metrics, and callers composing their own fan-out (batch
+// endpoints) schedule through it so the per-process concurrency bound
+// holds across requests.
+func (db *DB) Pool() *parallel.Pool { return db.pool }
+
+// PoolStats returns the worker-pool counters.
+func (db *DB) PoolStats() parallel.Stats { return db.pool.Stats() }
 
 // Resilience exposes the health tier, nil when disabled.
 func (db *DB) Resilience() *resilience.Tier { return db.res }
@@ -252,15 +262,6 @@ func (db *DB) putGated(url string, root *xmltree.Node, t model.Time) (model.DocI
 	return id, nil
 }
 
-// PutXML parses and stores a document.
-func (db *DB) PutXML(url string, r io.Reader, t model.Time) (model.DocID, error) {
-	root, err := xmltree.Parse(r)
-	if err != nil {
-		return 0, err
-	}
-	return db.Put(url, root, t)
-}
-
 // Update stores a new version of the document at time t and maintains all
 // indexes from the completed delta. It returns the new version number and
 // the delta script.
@@ -297,15 +298,6 @@ func (db *DB) updateGated(id model.DocID, root *xmltree.Node, t model.Time) (mod
 		return 0, nil, fmt.Errorf("core: index maintenance: %w", err)
 	}
 	return ver, script, nil
-}
-
-// UpdateXML parses and stores a new version.
-func (db *DB) UpdateXML(id model.DocID, r io.Reader, t model.Time) (model.VersionNo, *diff.Script, error) {
-	root, err := xmltree.Parse(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	return db.Update(id, root, t)
 }
 
 // Delete removes the document at time t; its history stays queryable.
@@ -350,41 +342,7 @@ func (db *DB) Current(id model.DocID) (*xmltree.Node, store.VersionInfo, error) 
 	return db.store.Current(id)
 }
 
-// --- the temporal operators of Section 6.1 ---
-
-// TPatternScan matches the pattern against the snapshot valid at time t
-// and returns the TEIDs of the projected elements.
-func (db *DB) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, error) {
-	//txvet:ignore ctxflow context-free operator API; ScanTContext is the canonical path
-	ms, err := db.ScanTContext(context.Background(), p, t)
-	if err != nil {
-		return nil, err
-	}
-	return pattern.TEIDs(ms, p, func(pattern.Match) model.Time { return t }), nil
-}
-
-// TPatternScanAll matches the pattern against all versions of all
-// documents; each returned TEID is stamped with the start of the temporal
-// overlap of its match.
-func (db *DB) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
-	//txvet:ignore ctxflow context-free operator API; ScanAllContext is the canonical path
-	ms, err := db.ScanAllContext(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	return pattern.TEIDs(ms, p, func(m pattern.Match) model.Time { return m.Span.Start }), nil
-}
-
-// PatternScan matches against the current database state.
-func (db *DB) PatternScan(p *pattern.PNode) ([]model.TEID, error) {
-	//txvet:ignore ctxflow context-free operator API; ScanCurrentContext is the canonical path
-	ms, err := db.ScanCurrentContext(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	now := db.clock()
-	return pattern.TEIDs(ms, p, func(pattern.Match) model.Time { return now }), nil
-}
+// --- the primitives the operators of Section 6.1 compose ---
 
 // ScanTContext implements plan.Engine: TPatternScan with the per-document
 // join on the shared worker pool, under the caller's context.
@@ -416,22 +374,13 @@ func (db *DB) ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]patte
 	return db.clampMatches(ctx, ms), nil
 }
 
-// DocHistory returns all versions of the document valid in [from, to),
-// most recent first: the store's walk of Section 7.3.4, one reconstruction
-// plus one delta per version. With the version cache enabled the walk
-// starts from and picks up the cache's resident versions, and the closed
-// versions it materialized are offered back to it (oldest first, so the
-// most recent ends up most recently used).
-func (db *DB) DocHistory(id model.DocID, iv model.Interval) ([]store.VersionTree, error) {
-	//txvet:ignore ctxflow context-free operator API shim; DocHistoryContext is the canonical path
-	return db.DocHistoryContext(context.Background(), id, iv)
-}
-
-// DocHistoryContext implements plan.Engine: DocHistory under a caller
-// context. The walk reads the cache at any pin, since a version's content
-// is immutable, and offers it the closed versions: a closed version's info
-// is final, while the open one's changes when the next version is
-// published and is clamped under a pin.
+// DocHistoryContext implements plan.Engine: the versions of the document
+// valid in iv, most recent first, from the store's walk of Section 7.3.4,
+// one reconstruction plus one delta per version. The walk starts from and
+// picks up the cache's resident versions at any pin, since a version's
+// content is immutable, and offers the cache the closed versions, oldest
+// first: a closed version's info is final, while the open one's changes
+// when the next version is published and is clamped under a pin.
 func (db *DB) DocHistoryContext(ctx context.Context, id model.DocID, iv model.Interval) ([]store.VersionTree, error) {
 	out, err := db.store.DocHistoryWith(ctx, id, iv, db.vcache.Resident(id))
 	if err != nil {
@@ -445,63 +394,6 @@ func (db *DB) DocHistoryContext(ctx context.Context, id model.DocID, iv model.In
 		}
 	}
 	return out, nil
-}
-
-// ElementHistory returns all versions of the element valid in [from, to),
-// most recent first: per Section 7.3.5 it walks the document's history
-// and keeps the subtree rooted at the element — "even if it was possible
-// to optimize this so that only the desired subtrees are reconstructed,
-// the whole deltas would have to be read anyway".
-func (db *DB) ElementHistory(eid model.EID, iv model.Interval) ([]store.VersionTree, error) {
-	//txvet:ignore ctxflow context-free operator API shim; ElementHistoryContext is the canonical path
-	return db.ElementHistoryContext(context.Background(), eid, iv)
-}
-
-// ElementHistoryContext is ElementHistory under a caller context.
-func (db *DB) ElementHistoryContext(ctx context.Context, eid model.EID, iv model.Interval) ([]store.VersionTree, error) {
-	docVersions, err := db.DocHistoryContext(ctx, eid.Doc, iv)
-	if err != nil {
-		return nil, err
-	}
-	var out []store.VersionTree
-	for _, dv := range docVersions {
-		if sub := dv.Root.FindXID(eid.X); sub != nil {
-			out = append(out, store.VersionTree{Info: dv.Info, Root: sub.Detach()})
-		}
-	}
-	return out, nil
-}
-
-// Reconstruct rebuilds the element version identified by the TEID: the
-// Reconstruct operator of Section 7.3.3 followed by subtree extraction.
-func (db *DB) Reconstruct(teid model.TEID) (*xmltree.Node, error) {
-	//txvet:ignore ctxflow context-free operator API shim; ReconstructContext is the canonical path
-	return db.ReconstructContext(context.Background(), teid)
-}
-
-// ReconstructContext is Reconstruct under a caller context.
-func (db *DB) ReconstructContext(ctx context.Context, teid model.TEID) (*xmltree.Node, error) {
-	v, err := db.store.VersionAtContext(ctx, teid.E.Doc, teid.T)
-	if err != nil {
-		return nil, err
-	}
-	vt, err := db.ReconstructVersionContext(ctx, teid.E.Doc, v.Ver)
-	if err != nil {
-		return nil, err
-	}
-	n := vt.Root.FindXID(teid.E.X)
-	if n == nil {
-		return nil, fmt.Errorf("core: element %s not valid at %s", teid.E, teid.T)
-	}
-	return n.Detach(), nil
-}
-
-// ReconstructVersion is the Reconstruct operator of Section 7.3.3 for a
-// whole document version: ReconstructVersionContext without a caller
-// context.
-func (db *DB) ReconstructVersion(id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
-	//txvet:ignore ctxflow context-free operator API shim; ReconstructVersionContext is the canonical path
-	return db.ReconstructVersionContext(context.Background(), id, ver)
 }
 
 // ReconstructVersionContext implements plan.Engine. With the cache enabled
@@ -572,6 +464,11 @@ func (db *DB) VersionsContext(ctx context.Context, id model.DocID) ([]store.Vers
 	return db.store.VersionsContext(ctx, id)
 }
 
+// VersionAtContext returns the document version valid at t.
+func (db *DB) VersionAtContext(ctx context.Context, id model.DocID, t model.Time) (store.VersionInfo, error) {
+	return db.store.VersionAtContext(ctx, id, t)
+}
+
 // CreTime returns the element's creation time from the CreTime/DelTime
 // index of Section 7.3.6; the store's CreTimeTraverse and
 // CreTimeTraverseFromCurrent are the paper's traversal strategies.
@@ -607,36 +504,6 @@ func (db *DB) CurrentTS(eid model.EID) (store.VersionInfo, error) {
 	return db.store.CurrentTS(eid.Doc)
 }
 
-// Diff computes the edit script between two element versions, returned as
-// an XML tree (<txdelta>): edit scripts are XML, keeping queries closed
-// under the data model (Section 6.1). The two version materializations are
-// independent reads, so they run as one pair on the shared worker pool.
-func (db *DB) Diff(a, b model.TEID) (*xmltree.Node, error) {
-	//txvet:ignore ctxflow context-free operator API shim; DiffContext is the canonical path
-	return db.DiffContext(context.Background(), a, b)
-}
-
-// DiffContext is Diff under a caller context: cancellation aborts the
-// paired reconstruction.
-func (db *DB) DiffContext(ctx context.Context, a, b model.TEID) (*xmltree.Node, error) {
-	pair := [2]model.TEID{a, b}
-	nodes, err := parallel.Map(ctx, db.pool, "diff", 2, func(i int) (*xmltree.Node, error) {
-		return db.ReconstructContext(ctx, pair[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return diff.Elements(nodes[0], nodes[1])
-}
-
-// Query parses and executes a temporal query: QueryContext without a
-// caller context, so it pins the commit horizon and accounts degraded
-// serving exactly as the server's path does.
-func (db *DB) Query(src string) (*plan.Result, error) {
-	//txvet:ignore ctxflow context-free query API shim; QueryContext is the canonical path
-	return db.QueryContext(context.Background(), src)
-}
-
 // QueryContext parses and executes a temporal query under a context:
 // cancellation and deadline expiry abort execution between reconstructions
 // and rows, returning the context's error. The request-scoped entry point
@@ -659,9 +526,4 @@ func (db *DB) QueryContext(ctx context.Context, src string) (*plan.Result, error
 		db.res.NoteDegradedServe()
 	}
 	return res, nil
-}
-
-// Explain returns the operator plan of a query without executing it.
-func (db *DB) Explain(src string) (string, error) {
-	return plan.ExplainString(src)
 }

@@ -66,7 +66,7 @@ func campaign(t *testing.T, shards int) {
 		r := shard.Open(shard.Config{Shards: shards, Engine: engine})
 		h.sut, health, srv = sharded(r), r.Health, server.New(r, server.Config{})
 	}
-	defer h.sut.close()
+	defer h.sut.Close()
 	for v := 0; v < 6; v++ {
 		for s := 0; s < slots; s++ {
 			h.write(s, false)
@@ -117,7 +117,7 @@ func campaign(t *testing.T, shards int) {
 	var answered, failed atomic.Int64
 	ctx := context.Background()
 	ask := func(q string, fail bool) {
-		res, err := h.sut.query(ctx, q)
+		res, err := h.sut.QueryContext(ctx, q)
 		if err != nil {
 			failed.Add(1)
 			if !typed(err) || !fail {
@@ -126,7 +126,7 @@ func campaign(t *testing.T, shards int) {
 			return
 		}
 		answered.Add(1)
-		if want, err := h.ref.db.query(ctx, q); err != nil || rows(res) != rows(want) {
+		if want, err := h.ref.db.QueryContext(ctx, q); err != nil || rows(res) != rows(want) {
 			t.Errorf("%s: answer differs from the reference (%v)", q, err)
 		}
 	}
@@ -166,7 +166,7 @@ func campaign(t *testing.T, shards int) {
 	if snap.State != resilience.Degraded || snap.Breaker.Opens == 0 || failed.Load() == 0 || shards == 1 && snap.DegradedServes == 0 {
 		t.Fatalf("storm: tier %+v, %d typed failures: want degraded with an opened breaker and degraded serves", snap, failed.Load())
 	}
-	if !h.sut.Engine.DegradedMode() {
+	if !h.sut.DegradedMode() {
 		t.Fatal("storm: engine not in degraded mode")
 	}
 	if err := h.sut.update(h.ref.slot[0].sut, h.ref.tree(step{slot: 0, ver: 9}), h.at+day); !errors.Is(err, resilience.ErrDegraded) {
@@ -261,7 +261,7 @@ func TestCorruptionAtRest(t *testing.T) {
 		return fmt.Sprintf(`SELECT R FROM doc(%q)[%s]/restaurant R`, h.ref.gen.URL(s), day0(vs[0].Stamp))
 	}
 	if res, err := db.QueryContext(ctx, q(0)); err == nil {
-		if want, _ := h.ref.db.query(ctx, q(0)); rows(res) != rows(want) {
+		if want, _ := h.ref.db.QueryContext(ctx, q(0)); rows(res) != rows(want) {
 			t.Fatal("a corrupt extent produced a wrong answer")
 		}
 	} else if !errors.Is(err, store.ErrUnreachable) && !errors.Is(err, pagestore.ErrCorrupt) {
@@ -277,7 +277,7 @@ func TestCorruptionAtRest(t *testing.T) {
 		t.Fatalf("write after corruption = %v, want ErrDegraded", err)
 	}
 	res, err := db.QueryContext(ctx, q(1))
-	if want, _ := h.ref.db.query(ctx, q(1)); err != nil || rows(res) != rows(want) {
+	if want, _ := h.ref.db.QueryContext(ctx, q(1)); err != nil || rows(res) != rows(want) {
 		t.Fatalf("undamaged document: %v", err)
 	}
 }

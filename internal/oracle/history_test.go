@@ -169,7 +169,7 @@ func history(t *testing.T, data []byte) *run {
 	if h.sut, err = c.open(filepath.Join(h.root, "db")); err != nil {
 		t.Fatalf("%s: open: %v", c, err)
 	}
-	defer func() { h.sut.close() }()
+	defer func() { h.sut.Close() }()
 	h.rebase()
 	for n := 0; n < maxOps && in.i < len(in.b); n++ {
 		b := in.next()
@@ -225,11 +225,11 @@ func (h *run) write(s int, del bool) {
 	var err error
 	switch st.op {
 	case opPut:
-		id, err = h.sut.put(url, h.ref.tree(st), st.at)
+		id, err = h.sut.Put(url, h.ref.tree(st), st.at)
 	case opUpdate:
 		err = h.sut.update(id, h.ref.tree(st), st.at)
 	case opDelete:
-		err = h.sut.del(id, st.at)
+		err = h.sut.Delete(id, st.at)
 	}
 	if armed != (err != nil) || (err != nil && !typed(err)) {
 		h.fatalf("step %+v (commit fault armed: %v): %v", st, armed, err)
@@ -306,8 +306,8 @@ func (h *run) fault(commit bool) {
 	for s := 0; s < slots; s++ {
 		for _, at := range []model.Time{h.at, h.at - 2*day, h.at - 5*day} {
 			q := fmt.Sprintf(`SELECT TIME(R), R FROM doc(%q)[%s]/restaurant R`, h.ref.gen.URL(s), day0(at))
-			res, err := h.sut.query(ctx, q)
-			want, werr := h.ref.db.query(ctx, q)
+			res, err := h.sut.QueryContext(ctx, q)
+			want, werr := h.ref.db.QueryContext(ctx, q)
 			switch {
 			case err != nil && werr == nil && !typed(err):
 				h.fatalf("untyped failure under outage: %s: %v", q, err)
@@ -344,7 +344,7 @@ func (h *run) crash(frac int) {
 				want = g
 			}
 		}
-		h.sut.close()
+		h.sut.Close()
 		db, err := core.OpenDurable(cfg, dst)
 		if err != nil {
 			h.fatalf("reopen at cut %d: %v", cut, err)
@@ -362,7 +362,7 @@ func (h *run) crash(frac int) {
 		}
 	case h.c.backend == segmented:
 		dir := filepath.Join(h.root, "db")
-		h.sut.close()
+		h.sut.Close()
 		r, err := shard.OpenDurable(shard.Config{Shards: h.c.shards, Workers: h.c.workers,
 			Engine: func(int) core.Config { return cfg }}, dir)
 		if err != nil {
@@ -372,7 +372,7 @@ func (h *run) crash(frac int) {
 	default:
 		return
 	}
-	if rep := h.sut.fsck(); !rep.Clean() {
+	if rep := h.sut.Fsck(); !rep.Clean() {
 		h.fatalf("fsck after reopen:\n%s", rep)
 	}
 	h.pins = nil

@@ -149,10 +149,29 @@ func (c *counted) Commit(b *pagestore.Batch) error {
 	return c.Backend.Commit(b)
 }
 
+// engine is what a cell drives. core.DB and shard.Router both provide it,
+// so every cell makes the same calls against either.
+type engine interface {
+	core.Primitives
+	Delete(id model.DocID, t model.Time) error
+	Vacuum(ret store.Retention) (store.VacuumReport, checkpoint.RunStats, error)
+	Checkpoint() (checkpoint.RunStats, error)
+	TPatternScanAll(p *pattern.PNode) ([]model.TEID, error)
+	ReconstructBatch(ctx context.Context, teids []model.TEID) ([]*xmltree.Node, error)
+	DocHistory(id model.DocID, iv model.Interval) ([]store.VersionTree, error)
+	ElementHistory(eid model.EID, iv model.Interval) ([]store.VersionTree, error)
+	PreviousTS(teid model.TEID) (store.VersionInfo, error)
+	NextTS(teid model.TEID) (store.VersionInfo, error)
+	Diff(a, b model.TEID) (*xmltree.Node, error)
+	Fsck() store.FsckReport
+	Close() error
+}
+
 // target is one engine under comparison: a single core.DB or a router.
-// Reads go through plan.Engine; everything else picks the concrete type.
+// Every operation goes through engine; the concrete pointers serve only
+// what one type has of its own.
 type target struct {
-	plan.Engine
+	engine
 	db   *core.DB
 	r    *shard.Router
 	injs []*pagestore.Injector // per shard, injected cells only
@@ -160,8 +179,8 @@ type target struct {
 	dir  string // the log directory of a single durable engine
 }
 
-func single(db *core.DB) *target      { return &target{Engine: db, db: db} }
-func sharded(r *shard.Router) *target { return &target{Engine: r, r: r} }
+func single(db *core.DB) *target      { return &target{engine: db, db: db} }
+func sharded(r *shard.Router) *target { return &target{engine: r, r: r} }
 
 // open builds the cell's engine under dir.
 func (c cell) open(dir string) (*target, error) {
@@ -214,122 +233,42 @@ func (c cell) open(dir string) (*target, error) {
 	return g, nil
 }
 
-func (g *target) put(url string, n *xmltree.Node, at model.Time) (model.DocID, error) {
-	if g.r != nil {
-		return g.r.Put(url, n, at)
-	}
-	return g.db.Put(url, n, at)
-}
-
 func (g *target) update(id model.DocID, n *xmltree.Node, at model.Time) error {
-	var err error
-	if g.r != nil {
-		_, _, err = g.r.Update(id, n, at)
-	} else {
-		_, _, err = g.db.Update(id, n, at)
-	}
+	_, _, err := g.Update(id, n, at)
 	return err
 }
 
-func (g *target) del(id model.DocID, at model.Time) error {
-	if g.r != nil {
-		return g.r.Delete(id, at)
-	}
-	return g.db.Delete(id, at)
-}
-
 func (g *target) vacuum(keep int) error {
-	ret := store.Retention{Policy: store.KeepLast, KeepLast: keep}
-	var err error
-	if g.r != nil {
-		_, _, err = g.r.Vacuum(ret)
-	} else {
-		_, _, err = g.db.Vacuum(ret)
-	}
+	_, _, err := g.Vacuum(store.Retention{Policy: store.KeepLast, KeepLast: keep})
 	return err
 }
 
 func (g *target) checkpoint() error {
-	var err error
-	if g.r != nil {
-		_, err = g.r.Checkpoint()
-	} else {
-		_, err = g.db.Checkpoint()
-	}
+	_, err := g.Checkpoint()
 	return err
 }
 
-func (g *target) query(ctx context.Context, src string) (*plan.Result, error) {
-	if g.r != nil {
-		return g.r.QueryContext(ctx, src)
-	}
-	return g.db.QueryContext(ctx, src)
-}
-
 func (g *target) teids(p *pattern.PNode) ([]model.TEID, []*xmltree.Node, error) {
-	var ts []model.TEID
-	var err error
-	if g.r != nil {
-		ts, err = g.r.TPatternScanAll(p)
-	} else {
-		ts, err = g.db.TPatternScanAll(p)
-	}
+	ts, err := g.TPatternScanAll(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	var ns []*xmltree.Node
-	if g.r != nil {
-		ns, err = g.r.ReconstructBatch(context.Background(), ts)
-	} else {
-		ns, err = g.db.ReconstructBatch(context.Background(), ts)
-	}
+	ns, err := g.ReconstructBatch(context.Background(), ts)
 	return ts, ns, err
 }
 
 // history is DocHistory of id, or ElementHistory when x is not zero.
 func (g *target) history(id model.DocID, x model.XID) ([]store.VersionTree, error) {
-	eid := model.EID{Doc: id, X: x}
-	switch {
-	case g.r != nil && x != 0:
-		return g.r.ElementHistory(eid, model.Always)
-	case g.r != nil:
-		return g.r.DocHistory(id, model.Always)
-	case x != 0:
-		return g.db.ElementHistory(eid, model.Always)
+	if x != 0 {
+		return g.ElementHistory(model.EID{Doc: id, X: x}, model.Always)
 	}
-	return g.db.DocHistory(id, model.Always)
+	return g.DocHistory(id, model.Always)
 }
 
 func (g *target) nav(teid model.TEID) (prev, next store.VersionInfo, perr, nerr error) {
-	if g.r != nil {
-		prev, perr = g.r.PreviousTS(teid)
-		next, nerr = g.r.NextTS(teid)
-	} else {
-		prev, perr = g.db.PreviousTS(teid)
-		next, nerr = g.db.NextTS(teid)
-	}
+	prev, perr = g.PreviousTS(teid)
+	next, nerr = g.NextTS(teid)
 	return
-}
-
-func (g *target) diff(a, b model.TEID) (*xmltree.Node, error) {
-	if g.r != nil {
-		return g.r.Diff(a, b)
-	}
-	return g.db.Diff(a, b)
-}
-
-func (g *target) fsck() store.FsckReport {
-	if g.r != nil {
-		return g.r.Fsck()
-	}
-	return g.db.Fsck()
-}
-
-func (g *target) close() error {
-	if g.r != nil {
-		return g.r.Close()
-	}
-	return g.db.Close()
 }
 
 // shardOf is the shard a write to url (create) or id lands on.
@@ -425,7 +364,7 @@ func (r *reference) apply(st step) (*doc, error) {
 	switch st.op {
 	case opPut:
 		d = &doc{url: r.gen.URL(st.slot), live: true}
-		if d.ref, err = r.db.put(d.url, r.tree(st), st.at); err != nil {
+		if d.ref, err = r.db.Put(d.url, r.tree(st), st.at); err != nil {
 			return nil, err
 		}
 		r.docs = append(r.docs, d)
@@ -439,7 +378,7 @@ func (r *reference) apply(st step) (*doc, error) {
 		}
 	case opDelete:
 		d.live = false
-		if err = r.db.del(d.ref, st.at); err == nil {
+		if err = r.db.Delete(d.ref, st.at); err == nil {
 			err = r.strat.Delete(r.sids[d.ref], st.at)
 		}
 	case opVacuum:
@@ -631,7 +570,7 @@ func (r *reference) render(g *target, sut bool) string {
 			p, n, perr, nerr := g.nav(teid)
 			fmt.Fprintf(&b, "\nprev=v%d%s next=v%d%s\n", p.Ver, fail(perr), n.Ver, fail(nerr))
 			if prev.T != 0 {
-				dn, err := g.diff(prev, teid)
+				dn, err := g.Diff(prev, teid)
 				if err == nil {
 					b.WriteString(dn.String())
 				}
@@ -714,7 +653,7 @@ func (r *reference) queries(ctx context.Context, g *target, s int, times []model
 			}
 			for _, sel := range []string{selects[0], selects[1+(k+s)%(len(selects)-1)]} {
 				q := fmt.Sprintf(sel, from)
-				res, err := g.query(ctx, q)
+				res, err := g.QueryContext(ctx, q)
 				b.WriteString(q + "\n" + fail(err))
 				if err == nil {
 					b.WriteString(rows(res))

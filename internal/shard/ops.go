@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 
 	"txmldb/internal/core"
@@ -27,20 +26,11 @@ import (
 // Put stores the first version of a new document on its home shard and
 // returns its global DocID.
 func (r *Router) Put(url string, root *xmltree.Node, t model.Time) (model.DocID, error) {
-	return r.put(url, func(db *core.DB) (model.DocID, error) { return db.Put(url, root, t) })
-}
-
-// PutXML parses and stores the first version of a new document.
-func (r *Router) PutXML(url string, rd io.Reader, t model.Time) (model.DocID, error) {
-	return r.put(url, func(db *core.DB) (model.DocID, error) { return db.PutXML(url, rd, t) })
-}
-
-func (r *Router) put(url string, fn func(db *core.DB) (model.DocID, error)) (model.DocID, error) {
 	s := r.homeShard(url)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	release := r.gates[s].enter()
-	local, err := fn(r.shards[s])
+	local, err := r.shards[s].Put(url, root, t)
 	release()
 	if err != nil {
 		return 0, err
@@ -52,34 +42,34 @@ func (r *Router) put(url string, fn func(db *core.DB) (model.DocID, error)) (mod
 	return g, nil
 }
 
-// Update stores a new version of the document.
-func (r *Router) Update(id model.DocID, root *xmltree.Node, t model.Time) (model.VersionNo, *diff.Script, error) {
-	s, local, err := r.locate(id)
+// route runs fn on the home shard of global DocID g, inside that shard's
+// admission gate, with g translated to the shard-local DocID: the one path
+// of every single-document primitive.
+func route[T any](r *Router, g model.DocID, fn func(db *core.DB, local model.DocID) (T, error)) (T, error) {
+	s, local, err := r.locate(g)
 	if err != nil {
-		return 0, nil, err
+		var zero T
+		return zero, err
 	}
 	defer r.gates[s].enter()()
-	return r.shards[s].Update(local, root, t)
+	return fn(r.shards[s], local)
 }
 
-// UpdateXML parses and stores a new version of the document.
-func (r *Router) UpdateXML(id model.DocID, rd io.Reader, t model.Time) (model.VersionNo, *diff.Script, error) {
-	s, local, err := r.locate(id)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer r.gates[s].enter()()
-	return r.shards[s].UpdateXML(local, rd, t)
+// Update stores a new version of the document.
+func (r *Router) Update(id model.DocID, root *xmltree.Node, t model.Time) (ver model.VersionNo, script *diff.Script, err error) {
+	script, err = route(r, id, func(db *core.DB, l model.DocID) (sc *diff.Script, err error) {
+		ver, sc, err = db.Update(l, root, t)
+		return sc, err
+	})
+	return ver, script, err
 }
 
 // Delete ends the document's life at t. Its history stays queryable.
 func (r *Router) Delete(id model.DocID, t model.Time) error {
-	s, local, err := r.locate(id)
-	if err != nil {
-		return err
-	}
-	defer r.gates[s].enter()()
-	return r.shards[s].Delete(local, t)
+	_, err := route(r, id, func(db *core.DB, l model.DocID) (struct{}, error) {
+		return struct{}{}, db.Delete(l, t)
+	})
+	return err
 }
 
 // --- identity and metadata ---
@@ -124,25 +114,29 @@ func (r *Router) Docs() []model.DocID {
 }
 
 // Current returns the live current version of a document.
-func (r *Router) Current(id model.DocID) (*xmltree.Node, store.VersionInfo, error) {
-	s, local, err := r.locate(id)
-	if err != nil {
-		return nil, store.VersionInfo{}, err
-	}
-	defer r.gates[s].enter()()
-	return r.shards[s].Current(local)
+func (r *Router) Current(id model.DocID) (root *xmltree.Node, info store.VersionInfo, err error) {
+	root, err = route(r, id, func(db *core.DB, l model.DocID) (n *xmltree.Node, err error) {
+		n, info, err = db.Current(l)
+		return n, err
+	})
+	return root, info, err
 }
 
 // VersionsContext implements plan.Engine, routed to the home shard under
 // the caller's context. The router pins no epoch of its own, so an
 // unpinned ctx lists the live versions.
 func (r *Router) VersionsContext(ctx context.Context, id model.DocID) ([]store.VersionInfo, error) {
-	s, local, err := r.locate(id)
-	if err != nil {
-		return nil, err
-	}
-	defer r.gates[s].enter()()
-	return r.shards[s].VersionsContext(ctx, local)
+	return route(r, id, func(db *core.DB, l model.DocID) ([]store.VersionInfo, error) {
+		return db.VersionsContext(ctx, l)
+	})
+}
+
+// VersionAtContext returns the document version valid at t, from the home
+// shard.
+func (r *Router) VersionAtContext(ctx context.Context, id model.DocID, t model.Time) (store.VersionInfo, error) {
+	return route(r, id, func(db *core.DB, l model.DocID) (store.VersionInfo, error) {
+		return db.VersionAtContext(ctx, l, t)
+	})
 }
 
 // --- scatter-gather scans ---
@@ -222,111 +216,21 @@ func (r *Router) ScanCurrentContext(ctx context.Context, p *pattern.PNode) ([]pa
 	})
 }
 
-// --- the TEID-level operators of Section 6.1 ---
-
-// TPatternScan matches the pattern at time t and returns projected TEIDs
-// in the global space.
-func (r *Router) TPatternScan(p *pattern.PNode, t model.Time) ([]model.TEID, error) {
-	ms, err := r.ScanTContext(context.Background(), p, t)
-	if err != nil {
-		return nil, err
-	}
-	return pattern.TEIDs(ms, p, func(pattern.Match) model.Time { return t }), nil
-}
-
-// TPatternScanAll matches against all versions of all documents; each
-// TEID is stamped with the start of its match's temporal overlap.
-func (r *Router) TPatternScanAll(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := r.ScanAllContext(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	return pattern.TEIDs(ms, p, func(m pattern.Match) model.Time { return m.Span.Start }), nil
-}
-
-// PatternScan matches against the current database state.
-func (r *Router) PatternScan(p *pattern.PNode) ([]model.TEID, error) {
-	ms, err := r.ScanCurrentContext(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	now := r.Now()
-	return pattern.TEIDs(ms, p, func(pattern.Match) model.Time { return now }), nil
-}
-
 // --- single-document history and reconstruction ---
 
-// DocHistory returns all versions of the document valid in the interval,
-// most recent first.
-func (r *Router) DocHistory(id model.DocID, iv model.Interval) ([]store.VersionTree, error) {
-	return r.DocHistoryContext(context.Background(), id, iv)
-}
-
-// DocHistoryContext implements plan.Engine: DocHistory under a caller
-// context, on the home shard.
+// DocHistoryContext implements plan.Engine: the document's versions valid
+// in iv, most recent first, from the home shard.
 func (r *Router) DocHistoryContext(ctx context.Context, id model.DocID, iv model.Interval) ([]store.VersionTree, error) {
-	s, local, err := r.locate(id)
-	if err != nil {
-		return nil, err
-	}
-	defer r.gates[s].enter()()
-	return r.shards[s].DocHistoryContext(ctx, local, iv)
-}
-
-// ElementHistory returns all versions of the element valid in the
-// interval, most recent first.
-func (r *Router) ElementHistory(eid model.EID, iv model.Interval) ([]store.VersionTree, error) {
-	return r.ElementHistoryContext(context.Background(), eid, iv)
-}
-
-// ElementHistoryContext is ElementHistory under a caller context.
-func (r *Router) ElementHistoryContext(ctx context.Context, eid model.EID, iv model.Interval) ([]store.VersionTree, error) {
-	s, local, err := r.locate(eid.Doc)
-	if err != nil {
-		return nil, err
-	}
-	defer r.gates[s].enter()()
-	eid.Doc = local
-	return r.shards[s].ElementHistoryContext(ctx, eid, iv)
-}
-
-// Reconstruct rebuilds the element version identified by the TEID.
-func (r *Router) Reconstruct(teid model.TEID) (*xmltree.Node, error) {
-	return r.ReconstructContext(context.Background(), teid)
-}
-
-// ReconstructContext is Reconstruct under a caller context.
-func (r *Router) ReconstructContext(ctx context.Context, teid model.TEID) (*xmltree.Node, error) {
-	s, local, err := r.locate(teid.E.Doc)
-	if err != nil {
-		return nil, err
-	}
-	defer r.gates[s].enter()()
-	teid.E.Doc = local
-	return r.shards[s].ReconstructContext(ctx, teid)
-}
-
-// ReconstructVersion rebuilds one document version on its owning shard.
-func (r *Router) ReconstructVersion(id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
-	return r.ReconstructVersionContext(context.Background(), id, ver)
+	return route(r, id, func(db *core.DB, l model.DocID) ([]store.VersionTree, error) {
+		return db.DocHistoryContext(ctx, l, iv)
+	})
 }
 
 // ReconstructVersionContext implements plan.Engine, routed to the owning
 // shard's cache-aware reconstruction.
 func (r *Router) ReconstructVersionContext(ctx context.Context, id model.DocID, ver model.VersionNo) (store.VersionTree, error) {
-	s, local, err := r.locate(id)
-	if err != nil {
-		return store.VersionTree{}, err
-	}
-	defer r.gates[s].enter()()
-	return r.shards[s].ReconstructVersionContext(ctx, local, ver)
-}
-
-// ReconstructBatch reconstructs many element versions on the router pool;
-// each TEID routes to its owning shard.
-func (r *Router) ReconstructBatch(ctx context.Context, teids []model.TEID) ([]*xmltree.Node, error) {
-	return parallel.Map(ctx, r.pool, "reconstruct", len(teids), func(i int) (*xmltree.Node, error) {
-		return r.ReconstructContext(ctx, teids[i])
+	return route(r, id, func(db *core.DB, l model.DocID) (store.VersionTree, error) {
+		return db.ReconstructVersionContext(ctx, l, ver)
 	})
 }
 
@@ -334,86 +238,37 @@ func (r *Router) ReconstructBatch(ctx context.Context, teids []model.TEID) ([]*x
 
 // CreTime implements plan.Engine: the element's creation time.
 func (r *Router) CreTime(eid model.EID) (model.Time, error) {
-	s, local, err := r.locate(eid.Doc)
-	if err != nil {
-		return 0, err
-	}
-	defer r.gates[s].enter()()
-	eid.Doc = local
-	return r.shards[s].CreTime(eid)
+	return route(r, eid.Doc, func(db *core.DB, l model.DocID) (model.Time, error) {
+		return db.CreTime(model.EID{Doc: l, X: eid.X})
+	})
 }
 
 // DelTime implements plan.Engine: the element's deletion time.
 func (r *Router) DelTime(eid model.EID) (model.Time, error) {
-	s, local, err := r.locate(eid.Doc)
-	if err != nil {
-		return 0, err
-	}
-	defer r.gates[s].enter()()
-	eid.Doc = local
-	return r.shards[s].DelTime(eid)
+	return route(r, eid.Doc, func(db *core.DB, l model.DocID) (model.Time, error) {
+		return db.DelTime(model.EID{Doc: l, X: eid.X})
+	})
 }
 
 // PreviousTS returns the document version preceding the TEID's timestamp.
 func (r *Router) PreviousTS(teid model.TEID) (store.VersionInfo, error) {
-	s, local, err := r.locate(teid.E.Doc)
-	if err != nil {
-		return store.VersionInfo{}, err
-	}
-	defer r.gates[s].enter()()
-	teid.E.Doc = local
-	return r.shards[s].PreviousTS(teid)
+	return route(r, teid.E.Doc, func(db *core.DB, l model.DocID) (store.VersionInfo, error) {
+		return db.PreviousTS(model.TEID{E: model.EID{Doc: l, X: teid.E.X}, T: teid.T})
+	})
 }
 
 // NextTS returns the document version following the TEID's timestamp.
 func (r *Router) NextTS(teid model.TEID) (store.VersionInfo, error) {
-	s, local, err := r.locate(teid.E.Doc)
-	if err != nil {
-		return store.VersionInfo{}, err
-	}
-	defer r.gates[s].enter()()
-	teid.E.Doc = local
-	return r.shards[s].NextTS(teid)
+	return route(r, teid.E.Doc, func(db *core.DB, l model.DocID) (store.VersionInfo, error) {
+		return db.NextTS(model.TEID{E: model.EID{Doc: l, X: teid.E.X}, T: teid.T})
+	})
 }
 
 // CurrentTS returns the current version of the element's document.
 func (r *Router) CurrentTS(eid model.EID) (store.VersionInfo, error) {
-	s, local, err := r.locate(eid.Doc)
-	if err != nil {
-		return store.VersionInfo{}, err
-	}
-	defer r.gates[s].enter()()
-	eid.Doc = local
-	return r.shards[s].CurrentTS(eid)
-}
-
-// --- diff ---
-
-// Diff computes the edit script between two element versions, possibly
-// on different shards: the pair reconstructs concurrently on the router
-// pool, then the (pure) tree diff runs on the caller.
-func (r *Router) Diff(a, b model.TEID) (*xmltree.Node, error) {
-	return r.DiffContext(context.Background(), a, b)
-}
-
-// DiffContext is Diff under a caller context.
-func (r *Router) DiffContext(ctx context.Context, a, b model.TEID) (*xmltree.Node, error) {
-	pair := [2]model.TEID{a, b}
-	nodes, err := parallel.Map(ctx, r.pool, "diff", 2, func(i int) (*xmltree.Node, error) {
-		return r.ReconstructContext(ctx, pair[i])
+	return route(r, eid.Doc, func(db *core.DB, l model.DocID) (store.VersionInfo, error) {
+		return db.CurrentTS(model.EID{Doc: l, X: eid.X})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return diff.Elements(nodes[0], nodes[1])
-}
-
-// --- queries ---
-
-// Query parses and executes a temporal query against the sharded
-// ensemble: QueryContext without a caller context.
-func (r *Router) Query(src string) (*plan.Result, error) {
-	return r.QueryContext(context.Background(), src)
 }
 
 // QueryContext parses and executes a temporal query under a caller
@@ -423,9 +278,4 @@ func (r *Router) Query(src string) (*plan.Result, error) {
 // reflects the ensemble via the router's DegradedMode.
 func (r *Router) QueryContext(ctx context.Context, src string) (*plan.Result, error) {
 	return plan.RunStringContext(ctx, r, src)
-}
-
-// Explain returns the operator plan of a query without executing it.
-func (r *Router) Explain(src string) (string, error) {
-	return plan.ExplainString(src)
 }

@@ -3,7 +3,9 @@
 // its own version store, WAL, vcache and checkpoint schedule), partitions
 // documents across them, and exposes the exact query surface of a single
 // engine — plan's executor, the public facade and txserved all run
-// unmodified on top of it.
+// unmodified on top of it. The router implements and routes only the
+// primitives (core.Primitives); the operators of Section 6.1 are composed
+// over them by the core.Operators it embeds, the same code core.DB runs.
 //
 // Partitioning and identity. A document's home shard is the FNV-1a hash
 // of its URL modulo the shard count, so placement is stable across
@@ -146,6 +148,8 @@ func (g *gate) enter() func() {
 // server's engine surface, so it is a drop-in engine for the query
 // planner and the HTTP server.
 type Router struct {
+	core.Operators // the operators of Section 6.1, composed over the routed primitives
+
 	cfg    Config
 	n      int
 	shards []*core.DB
@@ -187,6 +191,7 @@ func newRouter(cfg Config) *Router {
 	for i := range r.gates {
 		r.gates[i] = newGate(cfg.ShardInflight)
 	}
+	r.Operators = core.NewOperators(r, r.pool)
 	return r
 }
 

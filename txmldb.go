@@ -83,11 +83,12 @@ func OpenDurable(cfg Config, dir string) (*DB, error) { return core.OpenDurable(
 
 // Sharding tier (DESIGN.md §3i): a ShardedDB partitions documents across
 // N independent engines by a stable URL hash, routes single-document
-// operators to the owning shard and scatter-gathers the multi-document
-// temporal operators with a deterministic merge — results are
-// byte-identical to a single engine at every shard count. It exposes the
-// same query surface as DB, so the query planner, CLI and txserved run
-// unmodified on top of it.
+// primitives to the owning shard and scatter-gathers the pattern scans
+// with a deterministic merge — results are byte-identical to a single
+// engine at every shard count. The temporal operators are composed over
+// those primitives by the same code as DB's, so it exposes the same query
+// surface and the query planner, CLI and txserved run unmodified on top
+// of it.
 type (
 	// ShardedDB is a DocID-partitioned ensemble of engines behind one
 	// router. Open one with OpenSharded or OpenShardedDurable.
